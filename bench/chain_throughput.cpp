@@ -1,28 +1,23 @@
 // Throughput of run-to-completion NF service chains: the canonical
-// NAT -> firewall -> LB -> monitor chain (or a prefix of it), dispatched
-// either through the compile-time fused NfChain<...> or the type-erased
-// DynamicChain, under identical traffic. The fused/virtual split is the
-// devirtualization experiment: same hops, same tables, same verdicts —
-// only the dispatch mechanism (and the shared vs per-hop re-derived batch
-// metadata it enables) differs.
+// NAT -> firewall -> LB -> monitor chain (or a prefix of it), run as one
+// DynamicChain whose hops share the per-batch BatchMeta (DESIGN.md §11).
 //
 // Two drivers:
 //   * driver=inline (default): one thread refills a batch from pre-built
 //     template frames and calls chain.regular_pass() directly — the same
 //     wiring SprayerCore uses, minus rings and threads. This isolates the
-//     per-packet chain cost, which is the quantity devirtualization
-//     changes; it is also the only honest 1-core number on a 1-CPU host,
-//     where the threaded executor timeslices driver against worker and
-//     measures the scheduler instead.
+//     per-packet chain cost; it is also the only honest 1-core number on a
+//     1-CPU host, where the threaded executor timeslices driver against
+//     worker and measures the scheduler instead.
 //   * driver=threaded: the full ThreadedMiddlebox open-loop flood
 //     (template memcpy + inject_bulk), for end-to-end numbers on hosts
 //     with enough cores to dedicate one to the driver.
 //
 // Emits one JSON line per configuration:
 //
-//   ./bench/chain_throughput [hops=4] [dispatch=fused,virtual]
-//       [driver=inline] [cores=1] [duration=0.4] [flows=64] [rx_batch=32]
-//       [burst=32] [hop_timing=0] [telemetry=1]
+//   ./bench/chain_throughput [hops=4] [driver=inline] [cores=1]
+//       [duration=0.4] [flows=64] [rx_batch=32] [burst=32] [hop_timing=0]
+//       [telemetry=1]
 //
 // hop_timing=1 turns on the per-hop latency counters
 // (ChainInit::hop_timing — one clock read per hop per batch) and fills
@@ -61,7 +56,6 @@ constexpr u16 kVport = 80;
 
 struct RunConfig {
   u32 hops = 4;
-  bool fused = true;
   bool inline_driver = true;
   u32 cores = 1;
   double duration_s = 0.4;
@@ -91,14 +85,13 @@ struct RunResult {
 };
 
 /// The chain under test: NAT first (claims ports, rewrites tuples), then
-/// the read-mostly hops. Owns the NFs so fused/virtual runs get identical
-/// fresh state.
+/// the read-mostly hops. Owns the NFs so every run gets fresh state.
 struct ChainFixture {
   nf::NatNf nat;
   nf::FirewallNf fw{nf::Acl{/*default_allow=*/true}};
   nf::LoadBalancerNf lb;
   nf::MonitorNf mon;
-  std::unique_ptr<core::IChain> chain;
+  core::DynamicChain chain;
 
   static nf::LbConfig lb_config() {
     nf::LbConfig cfg;
@@ -109,32 +102,13 @@ struct ChainFixture {
     return cfg;
   }
 
-  ChainFixture(u32 hops, bool fused) : lb(lb_config()) {
-    if (fused) {
-      switch (hops) {
-        case 1:
-          chain = std::make_unique<core::NfChain<nf::NatNf>>(nat);
-          break;
-        case 2:
-          chain = std::make_unique<core::NfChain<nf::NatNf, nf::FirewallNf>>(
-              nat, fw);
-          break;
-        case 3:
-          chain = std::make_unique<
-              core::NfChain<nf::NatNf, nf::FirewallNf, nf::LoadBalancerNf>>(
-              nat, fw, lb);
-          break;
-        default:
-          chain = std::make_unique<
-              core::NfChain<nf::NatNf, nf::FirewallNf, nf::LoadBalancerNf,
-                            nf::MonitorNf>>(nat, fw, lb, mon);
-          break;
-      }
-    } else {
-      std::vector<core::INetworkFunction*> all{&nat, &fw, &lb, &mon};
-      all.resize(std::min<std::size_t>(hops, all.size()));
-      chain = std::make_unique<core::DynamicChain>(std::move(all));
-    }
+  explicit ChainFixture(u32 hops) : lb(lb_config()), chain(prefix(hops)) {}
+
+ private:
+  std::vector<core::INetworkFunction*> prefix(u32 hops) {
+    std::vector<core::INetworkFunction*> all{&nat, &fw, &lb, &mon};
+    all.resize(std::min<std::size_t>(hops, all.size()));
+    return all;
   }
 };
 
@@ -185,8 +159,8 @@ std::vector<Template> build_templates(
 /// (per-hop tables, per-hop contexts, shared scratch) without rings or
 /// worker threads.
 RunResult run_inline(const RunConfig& rc) {
-  ChainFixture fixture(rc.hops, rc.fused);
-  core::IChain& chain = *fixture.chain;
+  ChainFixture fixture(rc.hops);
+  core::DynamicChain& chain = fixture.chain;
   const u32 hops = chain.num_hops();
 
   telemetry::MetricsRegistry registry(1);
@@ -325,7 +299,7 @@ RunResult run_inline(const RunConfig& rc) {
 /// threaded_throughput's bulk path).
 RunResult run_threaded(const RunConfig& rc) {
   net::PacketPool pool(1u << 15, 256);
-  ChainFixture fixture(rc.hops, rc.fused);
+  ChainFixture fixture(rc.hops);
   std::atomic<u64> forwarded{0};
 
   core::SprayerConfig cfg;
@@ -338,7 +312,7 @@ RunResult run_threaded(const RunConfig& rc) {
   cfg.overload_policy = OverloadPolicy::kDropNew;
 
   core::ThreadedMiddlebox mbox(
-      cfg, *fixture.chain,
+      cfg, fixture.chain,
       [&](std::span<net::Packet* const> pkts) {
         forwarded.fetch_add(pkts.size(), std::memory_order_relaxed);
         net::free_packets(pkts);
@@ -397,9 +371,9 @@ RunResult run_threaded(const RunConfig& rc) {
   res.nf_drops = mbox.total_stats().nf_drops;
   if (rc.telemetry) {
     const auto snap = mbox.telemetry_snapshot();
-    for (u32 h = 0; h < fixture.chain->num_hops(); ++h) {
+    for (u32 h = 0; h < fixture.chain.num_hops(); ++h) {
       HopResult hop;
-      hop.nf = fixture.chain->hop(h).name();
+      hop.nf = fixture.chain.hop(h).name();
       const std::string prefix = "chain.h" + std::to_string(h) + "." + hop.nf;
       hop.packets = snap.value(prefix + ".packets");
       hop.drops = snap.value(prefix + ".drops");
@@ -418,11 +392,10 @@ RunResult run_threaded(const RunConfig& rc) {
 
 void print_json(const RunConfig& rc, const RunResult& res) {
   std::printf(
-      "{\"bench\":\"chain_throughput\",\"dispatch\":\"%s\",\"driver\":\"%s\","
+      "{\"bench\":\"chain_throughput\",\"driver\":\"%s\","
       "\"hops\":%u,\"cores\":%u,\"rx_batch\":%u,\"flows\":%u,"
       "\"hop_timing\":%u,\"elapsed_s\":%.4f,\"injected\":%llu,"
       "\"forwarded\":%llu,\"pps\":%.0f,\"nf_drops\":%llu,\"per_hop\":[",
-      rc.fused ? "fused" : "virtual",
       rc.inline_driver ? "inline" : "threaded", rc.hops, rc.cores,
       rc.rx_batch, rc.flows, rc.hop_timing ? 1u : 0u, res.elapsed_s,
       static_cast<unsigned long long>(res.injected),
@@ -475,18 +448,13 @@ int main(int argc, char** argv) {
 
   for (const auto& driver_s : split_list(cli.get("driver", "inline"))) {
     for (const auto& hops_s : split_list(cli.get("hops", "4"))) {
-      for (const auto& disp_s :
-           split_list(cli.get("dispatch", "fused,virtual"))) {
-        for (const auto& cores_s : split_list(cli.get("cores", "1"))) {
-          RunConfig rc = base;
-          rc.inline_driver = driver_s != "threaded";
-          rc.hops =
-              std::clamp<u32>(static_cast<u32>(std::stoul(hops_s)), 1, 4);
-          rc.fused = disp_s != "virtual";
-          rc.cores = static_cast<u32>(std::stoul(cores_s));
-          print_json(rc, rc.inline_driver ? run_inline(rc)
-                                          : run_threaded(rc));
-        }
+      for (const auto& cores_s : split_list(cli.get("cores", "1"))) {
+        RunConfig rc = base;
+        rc.inline_driver = driver_s != "threaded";
+        rc.hops = std::clamp<u32>(static_cast<u32>(std::stoul(hops_s)), 1, 4);
+        rc.cores = static_cast<u32>(std::stoul(cores_s));
+        print_json(rc,
+                   rc.inline_driver ? run_inline(rc) : run_threaded(rc));
       }
     }
   }

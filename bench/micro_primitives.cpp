@@ -13,7 +13,6 @@
 #include "net/packet_builder.hpp"
 #include "net/packet_pool.hpp"
 #include "nf/aho_corasick.hpp"
-#include "runtime/mpmc_ring.hpp"
 #include "runtime/spsc_ring.hpp"
 #include "sim/event_queue.hpp"
 
@@ -198,17 +197,6 @@ void BM_SpscRingPushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpscRingPushPop);
-
-void BM_MpmcRingPushPop(benchmark::State& state) {
-  runtime::MpmcRing<void*> ring(1024);
-  void* item = &ring;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.push(item));
-    void* out;
-    benchmark::DoNotOptimize(ring.pop(out));
-  }
-}
-BENCHMARK(BM_MpmcRingPushPop);
 
 void BM_PacketPoolAllocFree(benchmark::State& state) {
   net::PacketPool pool(256);

@@ -1,9 +1,10 @@
 // Throughput of the threaded executor on real worker threads: one driver
 // thread copies pre-built template frames into pool buffers and injects
 // them, N workers run the NF, and the TX sink counts and frees survivors.
-// Compares the per-packet API path (inject() + per-packet sink) against the
-// batched path (inject_bulk() + per-batch sink, staged transfers, bulk
-// pool operations) across core counts and dispatch modes.
+// Compares the per-packet API path (inject(), a one-packet inject_bulk(),
+// + per-packet sink) against the batched path (inject_bulk() bursts +
+// per-batch sink, staged transfers, bulk pool operations) across core
+// counts and dispatch modes.
 //
 // Emits one JSON line per configuration (pps, drops, per-core stats) so
 // successive PRs can track the trajectory:

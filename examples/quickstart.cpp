@@ -45,8 +45,10 @@ class ConnectionCounterNf final : public core::INetworkFunction {
   }
 
   // Everything else, wherever it landed. Flow state is read-only here —
-  // get_flow() fetches it from the designated core's table.
-  void regular_packets(runtime::PacketBatch& batch, core::NfContext& ctx,
+  // get_flow() fetches it from the designated core's table. (`meta` is the
+  // chain's shared per-batch tuple/hash cache; this NF derives its own.)
+  void regular_packets(runtime::PacketBatch& batch, core::BatchMeta& /*meta*/,
+                       core::NfContext& ctx,
                        core::BatchVerdicts& verdicts) override {
     for (u32 i = 0; i < batch.size(); ++i) {
       net::Packet* pkt = batch[i];

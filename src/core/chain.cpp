@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 
 namespace sprayer::core {
 
@@ -13,7 +14,7 @@ Time chain_clock_ns() noexcept {
          kNanosecond;
 }
 
-ChainBase::ChainBase(std::vector<INetworkFunction*> hops)
+DynamicChain::DynamicChain(std::vector<INetworkFunction*> hops)
     : hops_(std::move(hops)),
       hop_stateless_(hops_.size(), 0),
       hop_tm_(hops_.size()),
@@ -24,7 +25,7 @@ ChainBase::ChainBase(std::vector<INetworkFunction*> hops)
   }
 }
 
-void ChainBase::init(const ChainInit& ci) {
+void DynamicChain::init(const ChainInit& ci) {
   SPRAYER_CHECK_MSG(ci.hop_cfgs.size() == hops_.size(),
                     "ChainInit::hop_cfgs must have one slot per hop");
   timed_ = ci.hop_timing && ci.registry != nullptr;
@@ -54,7 +55,7 @@ void ChainBase::init(const ChainInit& ci) {
   }
 }
 
-void ChainBase::housekeeping(std::span<NfContext* const> ctxs, Time now) {
+void DynamicChain::housekeeping(std::span<NfContext* const> ctxs, Time now) {
   SPRAYER_DCHECK(ctxs.size() == hops_.size());
   for (u32 h = 0; h < hops_.size(); ++h) {
     NfContext& ctx = *ctxs[h];
@@ -70,7 +71,7 @@ void ChainBase::housekeeping(std::span<NfContext* const> ctxs, Time now) {
   }
 }
 
-void ChainBase::sweep_hop(u32 h, NfContext& ctx) {
+void DynamicChain::sweep_hop(u32 h, NfContext& ctx) {
   FlowStateApi& flows = ctx.flows();
   // Auto budget: an eighth of the table per tick — a full rotation every 8
   // housekeeping ticks regardless of capacity, so expiry latency tracks the
@@ -98,56 +99,41 @@ void ChainBase::sweep_hop(u32 h, NfContext& ctx) {
   m.sweep_ns.record(ctx.core(), (chain_clock_ns() - t0) / kNanosecond);
 }
 
-void DynamicChain::regular_pass(runtime::PacketBatch& batch,
-                                ChainScratch& scratch,
-                                std::span<NfContext* const> ctxs, Time now,
-                                runtime::PacketBatch& drops) {
+void DynamicChain::pass(runtime::PacketBatch& batch, ChainScratch& scratch,
+                        std::span<NfContext* const> ctxs, Time now,
+                        runtime::PacketBatch& drops, bool connection) {
+  BatchMeta& meta = scratch.meta;
+  meta.reset();  // built lazily, by the first hop that reads it
   const u32 hops = num_hops();
   for (u32 h = 0; h < hops && !batch.empty(); ++h) {
+    INetworkFunction& nf = *hops_[h];
     NfContext& ctx = *ctxs[h];
     ctx.set_now(now);
-    ctx.flows().set_in_connection_handler(false);
+    // Stateless hops have no flow events to observe: a connection packet
+    // is just another packet to them.
+    const bool flow_event = connection && hop_stateless_[h] == 0;
+    ctx.flows().set_in_connection_handler(flow_event);
     const u32 before = batch.size();
     const Time t0 = timed_ ? chain_clock_ns() : 0;
     scratch.verdicts.reset(before);
-    hops_[h]->regular_packets(batch, ctx, scratch.verdicts);
-    if (scratch.verdicts.any()) {
-      (void)batch.compact(
-          [&](u32 i) { return scratch.verdicts.dropped(i); }, drops);
-    }
-    // Only downstream hops read the memoized hash; after the last hop an
-    // invalidated memo is recomputed lazily by whoever needs it.
-    if (h + 1 < hops && hops_[h]->rewrites_tuple()) refresh_hashes(batch);
-    record_hop(h, ctx.core(), before, before - batch.size(), t0);
-  }
-}
-
-void DynamicChain::connection_pass(runtime::PacketBatch& batch,
-                                   ChainScratch& scratch,
-                                   std::span<NfContext* const> ctxs, Time now,
-                                   runtime::PacketBatch& drops) {
-  const u32 hops = num_hops();
-  for (u32 h = 0; h < hops && !batch.empty(); ++h) {
-    NfContext& ctx = *ctxs[h];
-    ctx.set_now(now);
-    const bool stateless = hop_stateless_[h] != 0;
-    ctx.flows().set_in_connection_handler(!stateless);
-    const u32 before = batch.size();
-    const Time t0 = timed_ ? chain_clock_ns() : 0;
-    scratch.verdicts.reset(before);
-    if (stateless) {
-      // Stateless hops have no flow events to observe: a connection packet
-      // is just another packet to them.
-      hops_[h]->regular_packets(batch, ctx, scratch.verdicts);
+    if (flow_event) {
+      nf.connection_packets(batch, ctx, scratch.verdicts);
     } else {
-      hops_[h]->connection_packets(batch, ctx, scratch.verdicts);
+      nf.regular_packets(batch, meta, ctx, scratch.verdicts);
     }
     if (scratch.verdicts.any()) {
       (void)batch.compact(
-          [&](u32 i) { return scratch.verdicts.dropped(i); }, drops);
+          [&](u32 i) { return scratch.verdicts.dropped(i); }, drops,
+          [&](u32 from, u32 to) { meta.move(from, to); });
     }
-    if (h + 1 < hops && hops_[h]->rewrites_tuple()) refresh_hashes(batch);
-    record_hop(h, ctx.core(), before, before - batch.size(), t0);
+    // Only downstream hops read the meta / memoized hash; after the last
+    // hop an invalidated memo is recomputed lazily by whoever needs it.
+    if (h + 1 < hops && nf.rewrites_tuple()) meta.refresh(batch);
+    const u32 dropped = before - batch.size();
+    HopMetrics& m = hop_tm_[h];
+    m.packets.add(ctx.core(), before);
+    if (dropped > 0) m.drops.add(ctx.core(), dropped);
+    if (timed_) m.ns.add(ctx.core(), (chain_clock_ns() - t0) / kNanosecond);
   }
 }
 

@@ -5,16 +5,14 @@
 // the engine transmits the survivors — one pass over the packet data while
 // it is cache-hot, instead of N framework round-trips.
 //
-// Two implementations share the IChain interface:
-//   * NfChain<Nfs...> — compile-time chain over concrete `final` NF types:
-//     every handler call is direct (devirtualized, inlinable) and the hops
-//     share one BatchMeta, so the five-tuple extraction / canonicalization /
-//     hash fetch that every stateful NF needs is done once per batch, not
-//     once per hop. After a tuple-rewriting hop (NAT) the meta — including
-//     the packets' memoized RSS hash — is refreshed exactly once.
-//   * DynamicChain — type-erased fallback for config-driven chains: per-hop
-//     virtual dispatch, each hop re-deriving its own per-packet metadata
-//     (what independent NF passes genuinely cost).
+// Hops are called through INetworkFunction's virtual handlers. What keeps a
+// long chain cheap is the per-batch BatchMeta the hops share (DESIGN.md
+// §11): the five-tuple extraction, canonicalization and hash fetch that
+// every stateful NF needs are done once per batch, by the first hop that
+// reads them, not once per hop. A chain whose hops never read the meta
+// never builds it. After a tuple-rewriting hop (NAT) that is not the last
+// hop, the meta — including the packets' memoized RSS hash — is refreshed
+// exactly once; after the last hop an invalidated memo stays lazy.
 //
 // Connection-packet semantics across hops (DESIGN.md §11): a connection
 // packet redirects ONCE, to its flow's designated core, and the whole
@@ -27,9 +25,7 @@
 // ChainScratch so one chain object can serve every worker thread.
 #pragma once
 
-#include <string>
-#include <tuple>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "core/nf.hpp"
@@ -73,58 +69,50 @@ struct ChainInit {
 /// Monotonic nanosecond clock for per-hop timing (threaded executor).
 [[nodiscard]] Time chain_clock_ns() noexcept;
 
-class IChain {
+/// An ordered list of NFs run as one service chain. A single NF is a
+/// one-hop chain (the single-NF ThreadedMiddlebox / SimMiddlebox
+/// constructors wrap the NF in one). The chain does not own its NFs.
+class DynamicChain {
  public:
-  virtual ~IChain() = default;
+  explicit DynamicChain(std::vector<INetworkFunction*> hops);
+  explicit DynamicChain(INetworkFunction& nf)
+      : DynamicChain(std::vector<INetworkFunction*>{&nf}) {}
 
-  [[nodiscard]] virtual u32 num_hops() const noexcept = 0;
-  [[nodiscard]] virtual INetworkFunction& hop(u32 i) const noexcept = 0;
-
-  /// Run every hop's init() and register chain metrics. Optional: a chain
-  /// used standalone (unit tests driving SprayerCore directly) works
-  /// without it — hops then run with their own defaults and no metrics.
-  virtual void init(const ChainInit& ci) = 0;
-
-  /// Run a batch of connection packets (SYN/FIN/RST on their designated
-  /// core) through every hop. The batch is compacted in place to the
-  /// survivors; dropped packets are appended to `drops` (not freed).
-  /// Stateless hops in a mixed chain receive their regular_packets()
-  /// handler — they have no flow events to observe.
-  virtual void connection_pass(runtime::PacketBatch& batch,
-                               ChainScratch& scratch,
-                               std::span<NfContext* const> ctxs, Time now,
-                               runtime::PacketBatch& drops) = 0;
-
-  /// Same for regular packets, on whichever core they arrived.
-  virtual void regular_pass(runtime::PacketBatch& batch, ChainScratch& scratch,
-                            std::span<NfContext* const> ctxs, Time now,
-                            runtime::PacketBatch& drops) = 0;
-
-  /// Periodic maintenance: every hop's housekeeping() with its own context.
-  virtual void housekeeping(std::span<NfContext* const> ctxs, Time now) = 0;
-
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-};
-
-/// Shared bookkeeping for both chain flavors: the hop list (as base
-/// pointers — used for init/housekeeping/metrics, never on the fused hot
-/// path), per-hop stateless flags, and per-hop telemetry.
-class ChainBase : public IChain {
- public:
-  [[nodiscard]] u32 num_hops() const noexcept override {
+  [[nodiscard]] u32 num_hops() const noexcept {
     return static_cast<u32>(hops_.size());
   }
-  [[nodiscard]] INetworkFunction& hop(u32 i) const noexcept override {
+  [[nodiscard]] INetworkFunction& hop(u32 i) const noexcept {
     SPRAYER_DCHECK(i < hops_.size());
     return *hops_[i];
   }
 
-  void init(const ChainInit& ci) override;
-  void housekeeping(std::span<NfContext* const> ctxs, Time now) override;
+  /// Run every hop's init() and register chain metrics. Optional: a chain
+  /// used standalone (unit tests driving SprayerCore directly) works
+  /// without it — hops then run with their own defaults and no metrics.
+  void init(const ChainInit& ci);
 
- protected:
-  explicit ChainBase(std::vector<INetworkFunction*> hops);
+  /// Run a batch of connection packets (SYN/FIN/RST on their designated
+  /// core) through every hop. The batch is compacted in place to the
+  /// survivors; dropped packets are appended to `drops` (not freed).
+  /// Stateless hops receive their regular_packets() handler — they have no
+  /// flow events to observe.
+  void connection_pass(runtime::PacketBatch& batch, ChainScratch& scratch,
+                       std::span<NfContext* const> ctxs, Time now,
+                       runtime::PacketBatch& drops) {
+    pass(batch, scratch, ctxs, now, drops, /*connection=*/true);
+  }
 
+  /// Same for regular packets, on whichever core they arrived.
+  void regular_pass(runtime::PacketBatch& batch, ChainScratch& scratch,
+                    std::span<NfContext* const> ctxs, Time now,
+                    runtime::PacketBatch& drops) {
+    pass(batch, scratch, ctxs, now, drops, /*connection=*/false);
+  }
+
+  /// Periodic maintenance: every hop's housekeeping() with its own context.
+  void housekeeping(std::span<NfContext* const> ctxs, Time now);
+
+ private:
   struct HopMetrics {
     telemetry::Counter packets;  // packets entering the hop
     telemetry::Counter drops;    // packets the hop's verdicts dropped
@@ -134,23 +122,9 @@ class ChainBase : public IChain {
     telemetry::Histogram sweep_groups;  // tag groups scanned per call
   };
 
-  /// Post-hop accounting: `before` packets entered, `dropped` were culled,
-  /// `t0` is the hop-entry clock read (0 unless timed_).
-  void record_hop(u32 h, CoreId shard, u32 before, u32 dropped,
-                  Time t0) noexcept {
-    HopMetrics& m = hop_tm_[h];
-    m.packets.add(shard, before);
-    if (dropped > 0) m.drops.add(shard, dropped);
-    if (timed_) m.ns.add(shard, (chain_clock_ns() - t0) / kNanosecond);
-  }
-
-  /// Eagerly re-memoize survivors' RSS hashes after a tuple-rewriting hop
-  /// (packets the hop invalidated recompute; untouched memos are kept).
-  static void refresh_hashes(runtime::PacketBatch& batch) noexcept {
-    for (net::Packet* pkt : batch) {
-      if (pkt->is_ipv4()) (void)hash::packet_flow_hash(*pkt);
-    }
-  }
+  void pass(runtime::PacketBatch& batch, ChainScratch& scratch,
+            std::span<NfContext* const> ctxs, Time now,
+            runtime::PacketBatch& drops, bool connection);
 
   /// One sweep_idle() increment for hop `h` (called from housekeeping once
   /// per stateful hop per tick).
@@ -163,124 +137,6 @@ class ChainBase : public IChain {
   bool timed_ = false;
   bool sweep_ = true;
   u32 sweep_groups_per_tick_ = 0;  // 0 = auto budget
-};
-
-/// Type-erased chain: per-hop virtual dispatch over INetworkFunction.
-/// Also the adapter that lets every single-NF entry point keep working
-/// (ThreadedMiddlebox / SimMiddlebox wrap the NF in a one-hop DynamicChain).
-class DynamicChain final : public ChainBase {
- public:
-  explicit DynamicChain(std::vector<INetworkFunction*> hops)
-      : ChainBase(std::move(hops)) {}
-  /// One-hop convenience (the single-NF compatibility path).
-  explicit DynamicChain(INetworkFunction& nf) : ChainBase({&nf}) {}
-
-  void connection_pass(runtime::PacketBatch& batch, ChainScratch& scratch,
-                       std::span<NfContext* const> ctxs, Time now,
-                       runtime::PacketBatch& drops) override;
-  void regular_pass(runtime::PacketBatch& batch, ChainScratch& scratch,
-                    std::span<NfContext* const> ctxs, Time now,
-                    runtime::PacketBatch& drops) override;
-
-  [[nodiscard]] const char* name() const noexcept override {
-    return "dynamic";
-  }
-};
-
-/// An NF whose regular-packet handler can consume the chain's shared
-/// per-batch metadata instead of re-deriving tuples and hashes itself.
-template <class Nf>
-concept MetaAware = requires(Nf& nf, runtime::PacketBatch& b, BatchMeta& m,
-                             NfContext& c, BatchVerdicts& v) {
-  nf.regular_packets(b, m, c, v);
-};
-
-/// Compile-time fused chain. Template arguments are the concrete (final)
-/// NF types; construction takes references (the chain does not own its
-/// NFs). All handler invocations resolve statically.
-template <class... Nfs>
-class NfChain final : public ChainBase {
-  static_assert(sizeof...(Nfs) >= 1, "a chain needs at least one hop");
-
- public:
-  static constexpr u32 kHops = sizeof...(Nfs);
-
-  explicit NfChain(Nfs&... nfs)
-      : ChainBase({&nfs...}), nfs_(nfs...) {}
-
-  void regular_pass(runtime::PacketBatch& batch, ChainScratch& scratch,
-                    std::span<NfContext* const> ctxs, Time now,
-                    runtime::PacketBatch& drops) override {
-    if (batch.empty()) return;
-    BatchMeta& meta = scratch.meta;
-    meta.build(batch);
-    for_each_hop([&](auto& nf, u32 h) {
-      NfContext& ctx = *ctxs[h];
-      ctx.set_now(now);
-      ctx.flows().set_in_connection_handler(false);
-      const u32 before = batch.size();
-      const Time t0 = timed_ ? chain_clock_ns() : 0;
-      scratch.verdicts.reset(before);
-      if constexpr (MetaAware<std::remove_reference_t<decltype(nf)>>) {
-        nf.regular_packets(batch, meta, ctx, scratch.verdicts);
-      } else {
-        nf.regular_packets(batch, ctx, scratch.verdicts);
-      }
-      if (scratch.verdicts.any()) {
-        (void)batch.compact(
-            [&](u32 i) { return scratch.verdicts.dropped(i); }, drops,
-            [&](u32 from, u32 to) { meta.move(from, to); });
-      }
-      // Only downstream hops read the meta / memoized hash; after the last
-      // hop an invalidated memo is recomputed lazily by whoever needs it.
-      if (h + 1 < kHops && nf.rewrites_tuple()) meta.refresh(batch);
-      record_hop(h, ctx.core(), before, before - batch.size(), t0);
-      return !batch.empty();
-    });
-  }
-
-  void connection_pass(runtime::PacketBatch& batch, ChainScratch& scratch,
-                       std::span<NfContext* const> ctxs, Time now,
-                       runtime::PacketBatch& drops) override {
-    if (batch.empty()) return;
-    // No shared meta here: connection handlers are scalar per-packet paths
-    // over small batches, keyed by tuples they re-derive post-rewrite.
-    for_each_hop([&](auto& nf, u32 h) {
-      NfContext& ctx = *ctxs[h];
-      ctx.set_now(now);
-      const bool stateless = hop_stateless_[h] != 0;
-      ctx.flows().set_in_connection_handler(!stateless);
-      const u32 before = batch.size();
-      const Time t0 = timed_ ? chain_clock_ns() : 0;
-      scratch.verdicts.reset(before);
-      if (stateless) {
-        nf.regular_packets(batch, ctx, scratch.verdicts);
-      } else {
-        nf.connection_packets(batch, ctx, scratch.verdicts);
-      }
-      if (scratch.verdicts.any()) {
-        (void)batch.compact(
-            [&](u32 i) { return scratch.verdicts.dropped(i); }, drops);
-      }
-      if (h + 1 < kHops && nf.rewrites_tuple()) refresh_hashes(batch);
-      record_hop(h, ctx.core(), before, before - batch.size(), t0);
-      return !batch.empty();
-    });
-  }
-
-  [[nodiscard]] const char* name() const noexcept override { return "fused"; }
-
- private:
-  /// Statically unrolled hop loop; `fn` returns false to stop early (batch
-  /// ran empty — nothing left for downstream hops).
-  template <class Fn>
-  void for_each_hop(Fn&& fn) {
-    [&]<std::size_t... I>(std::index_sequence<I...>) {
-      (void)(fn(std::get<I>(nfs_), static_cast<u32>(I)) && ...);
-    }(std::make_index_sequence<kHops>{});
-  }
-
-  std::tuple<Nfs&...> nfs_;
 };
 
 }  // namespace sprayer::core

@@ -115,7 +115,7 @@ class SprayerCore {
   /// span (and its contexts) must outlive the engine. `stateless` disables
   /// connection-packet redirection (true only when every hop is stateless).
   SprayerCore(CoreId id, const SprayerConfig& cfg, bool stateless,
-              IChain& chain, const CorePicker& picker,
+              DynamicChain& chain, const CorePicker& picker,
               std::span<NfContext* const> hop_ctxs, ICorePort& port)
       : id_(id),
         cfg_(cfg),
@@ -268,7 +268,7 @@ class SprayerCore {
   CoreId id_;
   const SprayerConfig& cfg_;
   bool stateless_;
-  IChain& chain_;
+  DynamicChain& chain_;
   const CorePicker& picker_;
   std::span<NfContext* const> hop_ctxs_;
   ICorePort& port_;

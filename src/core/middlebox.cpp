@@ -149,12 +149,12 @@ SimMiddlebox::SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg,
                    nic_cfg) {}
 
 SimMiddlebox::SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg,
-                           IChain& chain, nic::NicConfig nic_cfg)
+                           DynamicChain& chain, nic::NicConfig nic_cfg)
     : SimMiddlebox(sim, cfg, nullptr, &chain, nic_cfg) {}
 
 SimMiddlebox::SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg,
-                           std::unique_ptr<IChain> owned, IChain* chain,
-                           nic::NicConfig nic_cfg)
+                           std::unique_ptr<DynamicChain> owned,
+                           DynamicChain* chain, nic::NicConfig nic_cfg)
     : sim_(sim),
       cfg_(cfg),
       owned_chain_(std::move(owned)),

@@ -39,7 +39,7 @@ class SimMiddlebox final : public nic::IRxListener {
   SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg, INetworkFunction& nf,
                nic::NicConfig nic_cfg = {});
   /// Run a service chain (chain and NFs must outlive the middlebox).
-  SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg, IChain& chain,
+  SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg, DynamicChain& chain,
                nic::NicConfig nic_cfg = {});
   ~SimMiddlebox() override;
 
@@ -54,7 +54,7 @@ class SimMiddlebox final : public nic::IRxListener {
 
   [[nodiscard]] const SprayerConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] nic::SimNic& nic_dev() noexcept { return nic_; }
-  [[nodiscard]] IChain& chain() noexcept { return chain_; }
+  [[nodiscard]] DynamicChain& chain() noexcept { return chain_; }
   [[nodiscard]] u32 num_hops() const noexcept { return chain_.num_hops(); }
   /// Hop 0's flow table on `core` (the whole table for single-NF setups;
   /// shape per the state strategy — shard, replica, or shared alias).
@@ -101,7 +101,7 @@ class SimMiddlebox final : public nic::IRxListener {
   /// All ctors funnel here; `owned` is the compatibility DynamicChain (null
   /// when the caller provided the chain).
   SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg,
-               std::unique_ptr<IChain> owned, IChain* chain,
+               std::unique_ptr<DynamicChain> owned, DynamicChain* chain,
                nic::NicConfig nic_cfg);
 
   /// Send a processed packet out of the port opposite its ingress.
@@ -109,8 +109,8 @@ class SimMiddlebox final : public nic::IRxListener {
 
   sim::Simulator& sim_;
   SprayerConfig cfg_;
-  std::unique_ptr<IChain> owned_chain_;  // declared before chain_ (ref target)
-  IChain& chain_;
+  std::unique_ptr<DynamicChain> owned_chain_;  // before chain_ (ref target)
+  DynamicChain& chain_;
   std::vector<NfInitConfig> hop_init_;
   bool stateless_chain_ = false;
   CorePicker picker_;

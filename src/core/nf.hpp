@@ -122,43 +122,38 @@ class BatchVerdicts {
   u32 size_ = 0;
 };
 
-/// Per-batch packet metadata derived once and shared across service-chain
-/// hops: the five-tuple, its canonical form, and the memoized symmetric RSS
-/// hash. A fused chain builds this once per batch (and refreshes it once
-/// after each tuple-rewriting hop) instead of every hop re-extracting
-/// headers per packet; the standalone single-NF path builds it privately
-/// inside regular_packets(), so NFs carry exactly one implementation.
-/// Entries are only valid where is_tcp[i] != 0; the canonical array is
-/// filled lazily by the first hop that needs it.
+/// Per-batch packet metadata shared across service-chain hops: the
+/// five-tuple, its canonical form, and the memoized symmetric RSS hash.
+/// The chain resets it at the start of every pass; the first hop that
+/// reads it builds it (ensure_built / ensure_canonical), so hops that never
+/// look at tuples or hashes never pay for it. The chain keeps it aligned
+/// through compaction (move) and refreshes it once after a tuple-rewriting
+/// hop. Entries are only valid where is_tcp[i] != 0.
 struct BatchMeta {
   std::array<net::FiveTuple, runtime::kMaxBatchSize> tuple;
   std::array<net::FiveTuple, runtime::kMaxBatchSize> canon;
   std::array<FlowTable::FlowHash, runtime::kMaxBatchSize> hash;
   std::array<u8, runtime::kMaxBatchSize> is_tcp;
-  u32 size = 0;
-  bool canon_valid = false;
+  bool built = false;        // tuple/hash/is_tcp describe the current batch
+  bool canon_valid = false;  // canon describes the current batch
 
-  /// Derive metadata for every packet of `batch` (tuple + memoized hash for
-  /// TCP packets; others are marked and skipped by hops).
-  void build(runtime::PacketBatch& batch) noexcept {
-    size = batch.size();
+  /// Forget the previous batch (start of every chain pass).
+  void reset() noexcept {
+    built = false;
     canon_valid = false;
-    for (u32 i = 0; i < size; ++i) {
-      net::Packet* pkt = batch[i];
-      if (pkt->is_tcp()) {
-        is_tcp[i] = 1;
-        tuple[i] = pkt->five_tuple();
-        hash[i] = hash::packet_flow_hash(*pkt);
-      } else {
-        is_tcp[i] = 0;
-      }
-    }
   }
 
-  /// Fill the canonical-tuple array (no-op if already valid for this batch).
-  void ensure_canonical() noexcept {
+  /// Derive tuple + memoized hash for every TCP packet of `batch` (others
+  /// are marked and skipped by hops), unless this pass already did.
+  void ensure_built(runtime::PacketBatch& batch) noexcept {
+    if (!built) derive(batch, /*rehash=*/false);
+  }
+
+  /// ensure_built(), plus the canonical-tuple array.
+  void ensure_canonical(runtime::PacketBatch& batch) noexcept {
+    ensure_built(batch);
     if (canon_valid) return;
-    for (u32 i = 0; i < size; ++i) {
+    for (u32 i = 0; i < batch.size(); ++i) {
       if (is_tcp[i]) canon[i] = tuple[i].canonical();
     }
     canon_valid = true;
@@ -168,28 +163,34 @@ struct BatchMeta {
   /// tuple and hash and restore the packet's memoized rx-descriptor hash so
   /// downstream hops — and post-chain consumers — read a valid memo again.
   void refresh(runtime::PacketBatch& batch) noexcept {
-    size = batch.size();
-    canon_valid = false;
-    for (u32 i = 0; i < size; ++i) {
-      net::Packet* pkt = batch[i];
-      if (pkt->is_tcp()) {
-        is_tcp[i] = 1;
-        tuple[i] = pkt->five_tuple();
-        pkt->invalidate_flow_hash();
-        hash[i] = hash::packet_flow_hash(*pkt);
-      } else {
-        is_tcp[i] = 0;
-      }
-    }
+    derive(batch, /*rehash=*/true);
   }
 
   /// Compaction hook: relocate slot `from` to `to` (PacketBatch::compact's
   /// on_move callback, keeping the metadata aligned with the survivors).
   void move(u32 from, u32 to) noexcept {
+    if (!built) return;
     tuple[to] = tuple[from];
     if (canon_valid) canon[to] = canon[from];
     hash[to] = hash[from];
     is_tcp[to] = is_tcp[from];
+  }
+
+ private:
+  void derive(runtime::PacketBatch& batch, bool rehash) noexcept {
+    for (u32 i = 0; i < batch.size(); ++i) {
+      net::Packet* pkt = batch[i];
+      if (pkt->is_tcp()) {
+        is_tcp[i] = 1;
+        tuple[i] = pkt->five_tuple();
+        if (rehash) pkt->invalidate_flow_hash();
+        hash[i] = hash::packet_flow_hash(*pkt);
+      } else {
+        is_tcp[i] = 0;
+      }
+    }
+    built = true;
+    canon_valid = false;
   }
 };
 
@@ -207,9 +208,11 @@ class INetworkFunction {
   virtual void connection_packets(runtime::PacketBatch& batch, NfContext& ctx,
                                   BatchVerdicts& verdicts) = 0;
 
-  /// All other packets, on whichever core they arrived.
-  virtual void regular_packets(runtime::PacketBatch& batch, NfContext& ctx,
-                               BatchVerdicts& verdicts) = 0;
+  /// All other packets, on whichever core they arrived. `meta` is the
+  /// chain's shared per-batch metadata; call meta.ensure_built(batch) or
+  /// meta.ensure_canonical(batch) before reading it, or ignore it.
+  virtual void regular_packets(runtime::PacketBatch& batch, BatchMeta& meta,
+                               NfContext& ctx, BatchVerdicts& verdicts) = 0;
 
   /// Periodic per-core maintenance (SprayerConfig::housekeeping_interval):
   /// runs on every core with its own context, so NFs can expire local flow

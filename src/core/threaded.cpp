@@ -65,8 +65,8 @@ class ThreadedMiddlebox::CorePort final : public ICorePort {
 };
 
 ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
-                                     std::unique_ptr<IChain> owned,
-                                     IChain* chain, TxBatchHandler tx)
+                                     std::unique_ptr<DynamicChain> owned,
+                                     DynamicChain* chain, TxBatchHandler tx)
     : cfg_(cfg), owned_chain_(std::move(owned)),
       chain_(chain != nullptr ? *chain : *owned_chain_), tx_(std::move(tx)),
       picker_(cfg.num_cores), rss_(cfg.num_cores),
@@ -336,7 +336,7 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
   }
 }
 
-ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg, IChain& chain,
+ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg, DynamicChain& chain,
                                      TxBatchHandler tx)
     : ThreadedMiddlebox(cfg, nullptr, &chain, std::move(tx)) {}
 
@@ -383,92 +383,19 @@ void ThreadedMiddlebox::stop() {
   if (live_ != nullptr) live_->flush_final(steady_now());
 }
 
-bool ThreadedMiddlebox::admit(Ring& ring, net::Packet* pkt, bool conn,
-                              u64& spins) {
-  switch (cfg_.overload_policy) {
-    case OverloadPolicy::kDropNew:
-      return ring.push(pkt);
-    case OverloadPolicy::kDropRegularFirst:
-      // The headroom between the watermark and full capacity is reserved
-      // for connection packets: regular traffic sheds early so a burst of
-      // SYN/FIN/RST still finds ring space on a congested core.
-      if (!conn && ring.size_approx() >= rx_shed_threshold_) return false;
-      return ring.push(pkt);
-    case OverloadPolicy::kBlock:
-      while (!ring.push(pkt)) {
-        SPRAYER_CHECK_MSG(started_,
-                          "kBlock inject needs running workers to drain");
-        cpu_relax();
-        // Yield periodically: on oversubscribed hosts the consumer may
-        // need our timeslice to make room.
-        if ((++spins & 1023) == 0) std::this_thread::yield();
-      }
-      return true;
+void ThreadedMiddlebox::push_blocking(Ring& ring, net::Packet* pkt,
+                                      u64& spins) {
+  while (!ring.push(pkt)) {
+    SPRAYER_CHECK_MSG(started_, "kBlock inject needs running workers to drain");
+    cpu_relax();
+    // Yield periodically: on oversubscribed hosts the consumer may need our
+    // timeslice to make room.
+    if ((++spins & 1023) == 0) std::this_thread::yield();
   }
-  return ring.push(pkt);
 }
 
 bool ThreadedMiddlebox::inject(net::Packet* pkt) {
-  pkt->parse();
-  // NIC model: compute the RSS hash once at rx and stash it in the
-  // descriptor (Packet metadata); workers and NFs reuse it from there.
-  u32 rss_hash = 0;
-  if (pkt->is_ipv4()) {
-    rss_hash = rss_.hash_of(*pkt);
-    pkt->set_flow_hash(rss_hash);
-  }
-  // One clock read when any driver-tick consumer is live (adaptive policy,
-  // flow-export harvest, trace stamping); none on the plain path.
-  const Time now =
-      adaptive_ != nullptr || live_ != nullptr || tracer_ != nullptr
-          ? steady_now()
-          : 0;
-  if (reorder_ != nullptr) reorder_->stamp(*pkt);
-  const bool traced =
-      tracer_ != nullptr && tracer_->maybe_stamp(*pkt, [&] { return now; });
-  u16 queue;
-  if (adaptive_ != nullptr && pkt->is_tcp() && pkt->has_flow_hash()) {
-    // Adaptive spraying: the policy settles the final queue (pinned flows
-    // from its flow cache, sprayed ones from the checksum rule set) and
-    // runs its maintenance tick when due.
-    queue = adaptive_->steer(*pkt, rss_hash, now);
-    adaptive_->maybe_tick(now);
-  } else {
-    const auto fdir_queue = fdir_.match(*pkt);
-    if (fdir_queue.has_value()) {
-      queue = *fdir_queue;
-    } else {
-      queue = rss_.queue_for_hash(rss_hash);
-    }
-  }
-  if (traced) tracer_->record_steer(*pkt, steady_now());
-  if (live_ != nullptr) live_->maybe_tick(now);
-  const bool conn = !stateless_chain_ && pkt->is_tcp() &&
-                    pkt->is_connection_packet();
-  u64 spins = 0;
-  const bool pushed = admit(*rx_rings_[queue], pkt, conn, spins);
-  if (cfg_.telemetry) {
-    registry_.begin_update(driver_shard());
-    if (pushed) {
-      tm_.injected.add(driver_shard(), 1);
-    } else {
-      tm_.inject_drops.add(driver_shard(), 1);
-      (conn ? tm_.shed_conn : tm_.shed_regular).add(driver_shard(), 1);
-    }
-    if (spins > 0) tm_.block_spins.add(driver_shard(), spins);
-    if (tracer_ != nullptr && tracer_->has_driver_samples()) {
-      tracer_->flush_driver(driver_shard());
-    }
-    registry_.end_update(driver_shard());
-  }
-  if (!pushed) {
-    rx_ring_drops_.fetch_add(1, std::memory_order_relaxed);
-    (conn ? shed_conn_ : shed_regular_)
-        .fetch_add(1, std::memory_order_relaxed);
-    pkt->pool()->free(pkt);
-    return false;
-  }
-  return true;
+  return inject_bulk({&pkt, 1}) == 1;
 }
 
 u32 ThreadedMiddlebox::inject_bulk(std::span<net::Packet* const> pkts) {
@@ -571,16 +498,8 @@ u32 ThreadedMiddlebox::inject_bulk(std::span<net::Packet* const> pkts) {
       continue;
     }
     // kBlock: per-descriptor admission — each push may have to wait.
-    for (net::Packet* pkt : group) {
-      const bool conn = !stateless_chain_ && pkt->is_tcp() &&
-                        pkt->is_connection_packet();
-      if (admit(ring, pkt, conn, spins)) {
-        ++accepted;
-      } else {
-        ++(conn ? shed_cn : shed_reg);
-        pkt->pool()->free(pkt);
-      }
-    }
+    for (net::Packet* pkt : group) push_blocking(ring, pkt, spins);
+    accepted += static_cast<u32>(group.size());
   }
   if (shed_reg + shed_cn > 0) {
     rx_ring_drops_.fetch_add(shed_reg + shed_cn, std::memory_order_relaxed);

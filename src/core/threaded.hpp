@@ -58,7 +58,8 @@ class ThreadedMiddlebox {
 
   /// Run a service chain (the chain and its NFs must outlive the middlebox;
   /// the workers run every hop on the arrival core, run-to-completion).
-  ThreadedMiddlebox(SprayerConfig cfg, IChain& chain, TxBatchHandler tx);
+  ThreadedMiddlebox(SprayerConfig cfg, DynamicChain& chain,
+                    TxBatchHandler tx);
   /// Single-NF convenience: wraps the NF in an owned one-hop DynamicChain.
   ThreadedMiddlebox(SprayerConfig cfg, INetworkFunction& nf,
                     TxBatchHandler tx);
@@ -73,9 +74,10 @@ class ThreadedMiddlebox {
   /// Drain and stop. Packets still queued in rings are freed.
   void stop();
 
-  /// Dispatch one packet (single-producer: call from one thread). Admission
-  /// follows SprayerConfig::overload_policy: under kDropRegularFirst a
-  /// regular packet is shed once the target ring crosses the watermark while
+  /// Dispatch one packet: inject_bulk() with a burst of one (single-
+  /// producer: call from one thread). Admission follows
+  /// SprayerConfig::overload_policy: under kDropRegularFirst a regular
+  /// packet is shed once the target ring crosses the watermark while
   /// connection packets may use the reserved headroom; under kBlock the call
   /// spins until the ring has room (workers must be start()ed). Returns
   /// false — and frees the packet — when it is shed or the ring is full.
@@ -93,7 +95,7 @@ class ThreadedMiddlebox {
   void wait_idle() const;
 
   [[nodiscard]] const SprayerConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] IChain& chain() noexcept { return chain_; }
+  [[nodiscard]] DynamicChain& chain() noexcept { return chain_; }
   [[nodiscard]] u32 num_hops() const noexcept { return chain_.num_hops(); }
   /// Hop 0's flow table on `core`: the core's owned shard under writing
   /// partition, its full replica under replication, the one shared table
@@ -257,10 +259,9 @@ class ThreadedMiddlebox {
   /// One worker iteration; returns true if any work was done.
   bool worker_body(CoreId core);
 
-  /// Policy-gated admission of one classified packet to one rx ring.
-  /// Returns false when the packet is shed (caller frees and counts);
-  /// accumulates kBlock spin iterations into `spins`.
-  bool admit(Ring& ring, net::Packet* pkt, bool conn, u64& spins);
+  /// kBlock admission of one packet: spins (yielding periodically) until
+  /// the ring has room; accumulates spin iterations into `spins`.
+  void push_blocking(Ring& ring, net::Packet* pkt, u64& spins);
 
   /// Framework-level metric handles (all no-ops when telemetry is off).
   struct FrameworkTelemetry {
@@ -275,17 +276,17 @@ class ThreadedMiddlebox {
     telemetry::Counter rx_ring_hwm;      // kGaugeMax: rx ring occupancy
     telemetry::Counter mesh_ring_hwm;    // kGaugeMax: mesh ring occupancy
     telemetry::Histogram batch_size;
-    telemetry::Histogram queue_delay_ns;  // inject_bulk stamp -> worker poll
+    telemetry::Histogram queue_delay_ns;  // inject stamp -> worker poll
   };
 
   /// All ctors funnel here; `owned` is the compatibility DynamicChain (null
   /// when the caller provided the chain).
-  ThreadedMiddlebox(SprayerConfig cfg, std::unique_ptr<IChain> owned,
-                    IChain* chain, TxBatchHandler tx);
+  ThreadedMiddlebox(SprayerConfig cfg, std::unique_ptr<DynamicChain> owned,
+                    DynamicChain* chain, TxBatchHandler tx);
 
   SprayerConfig cfg_;
-  std::unique_ptr<IChain> owned_chain_;  // declared before chain_ (ref target)
-  IChain& chain_;
+  std::unique_ptr<DynamicChain> owned_chain_;  // before chain_ (ref target)
+  DynamicChain& chain_;
   TxBatchHandler tx_;
   std::vector<NfInitConfig> hop_init_;  // one per hop, filled by chain init
   bool stateless_chain_ = false;        // every hop stateless: never redirect

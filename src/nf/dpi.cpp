@@ -40,7 +40,8 @@ void DpiNf::connection_packets(runtime::PacketBatch& batch,
   }
 }
 
-void DpiNf::regular_packets(runtime::PacketBatch& batch, core::NfContext& ctx,
+void DpiNf::regular_packets(runtime::PacketBatch& batch,
+                            core::BatchMeta& /*meta*/, core::NfContext& ctx,
                             core::BatchVerdicts& /*verdicts*/) {
   for (net::Packet* pkt : batch) {
     scan_with_state(pkt, ctx);

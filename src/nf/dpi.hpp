@@ -29,7 +29,8 @@ class DpiNf final : public core::INetworkFunction {
 
   void connection_packets(runtime::PacketBatch& batch, core::NfContext& ctx,
                           core::BatchVerdicts& verdicts) override;
-  void regular_packets(runtime::PacketBatch& batch, core::NfContext& ctx,
+  void regular_packets(runtime::PacketBatch& batch, core::BatchMeta& meta,
+                       core::NfContext& ctx,
                        core::BatchVerdicts& verdicts) override;
 
   [[nodiscard]] const char* name() const noexcept override { return "dpi"; }

@@ -57,21 +57,11 @@ void FirewallNf::connection_packets(runtime::PacketBatch& batch,
 }
 
 void FirewallNf::regular_packets(runtime::PacketBatch& batch,
-                                 core::NfContext& ctx,
-                                 core::BatchVerdicts& verdicts) {
-  // Standalone / virtual-dispatch path: derive the per-batch metadata here
-  // and run the same bulk pipeline the fused chain uses.
-  core::BatchMeta meta;
-  meta.build(batch);
-  regular_packets(batch, meta, ctx, verdicts);
-}
-
-void FirewallNf::regular_packets(runtime::PacketBatch& batch,
                                  core::BatchMeta& meta, core::NfContext& ctx,
                                  core::BatchVerdicts& verdicts) {
   // Bulk path: canonical keys share the packets' memoized symmetric rx
   // hashes, so the whole batch resolves with one pipelined get_flows.
-  meta.ensure_canonical();
+  meta.ensure_canonical(batch);
   std::array<net::FiveTuple, runtime::kMaxBatchSize> keys;
   std::array<core::FlowStateApi::FlowHash, runtime::kMaxBatchSize> hashes;
   std::array<const void*, runtime::kMaxBatchSize> entries;

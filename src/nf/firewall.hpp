@@ -34,12 +34,9 @@ class FirewallNf final : public core::INetworkFunction {
 
   void connection_packets(runtime::PacketBatch& batch, core::NfContext& ctx,
                           core::BatchVerdicts& verdicts) override;
-  void regular_packets(runtime::PacketBatch& batch, core::NfContext& ctx,
-                       core::BatchVerdicts& verdicts) override;
-  /// Fused-chain fast path: canonical keys and hashes come pre-extracted
-  /// from the shared per-batch metadata.
   void regular_packets(runtime::PacketBatch& batch, core::BatchMeta& meta,
-                       core::NfContext& ctx, core::BatchVerdicts& verdicts);
+                       core::NfContext& ctx,
+                       core::BatchVerdicts& verdicts) override;
   void on_expire(const net::FiveTuple& key, core::FlowTable::FlowHash hash,
                  core::NfContext& ctx) override {
     if (ctx.flows().remove_local_flow(key, hash)) {

@@ -94,23 +94,13 @@ void LoadBalancerNf::on_expire(const net::FiveTuple& key,
 }
 
 void LoadBalancerNf::regular_packets(runtime::PacketBatch& batch,
-                                     core::NfContext& ctx,
-                                     core::BatchVerdicts& verdicts) {
-  // Standalone / virtual-dispatch path: derive the per-batch metadata here
-  // and run the same bulk pipeline the fused chain uses.
-  core::BatchMeta meta;
-  meta.build(batch);
-  regular_packets(batch, meta, ctx, verdicts);
-}
-
-void LoadBalancerNf::regular_packets(runtime::PacketBatch& batch,
                                      core::BatchMeta& meta,
                                      core::NfContext& ctx,
                                      core::BatchVerdicts& verdicts) {
   // Bulk path: filter to VIP-bound TCP packets, then resolve every backend
   // assignment with one pipelined get_flows over the canonical keys (which
   // share the packets' memoized symmetric rx hashes).
-  meta.ensure_canonical();
+  meta.ensure_canonical(batch);
   std::array<net::FiveTuple, runtime::kMaxBatchSize> keys;
   std::array<core::FlowStateApi::FlowHash, runtime::kMaxBatchSize> hashes;
   std::array<const void*, runtime::kMaxBatchSize> entries;

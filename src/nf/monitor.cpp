@@ -63,22 +63,12 @@ void MonitorNf::connection_packets(runtime::PacketBatch& batch,
 }
 
 void MonitorNf::regular_packets(runtime::PacketBatch& batch,
-                                core::NfContext& ctx,
-                                core::BatchVerdicts& verdicts) {
-  // Standalone / virtual-dispatch path: derive the per-batch metadata here
-  // and run the same bulk pipeline the fused chain uses.
-  core::BatchMeta meta;
-  meta.build(batch);
-  regular_packets(batch, meta, ctx, verdicts);
-}
-
-void MonitorNf::regular_packets(runtime::PacketBatch& batch,
                                 core::BatchMeta& meta, core::NfContext& ctx,
                                 core::BatchVerdicts& /*verdicts*/) {
   // Per-connection attribution: one pipelined bulk lookup over the batch's
   // canonical keys (sharing the packets' memoized rx hashes) counts how
   // much regular traffic belongs to tracked connections.
-  meta.ensure_canonical();
+  meta.ensure_canonical(batch);
   std::array<net::FiveTuple, runtime::kMaxBatchSize> keys;
   std::array<core::FlowStateApi::FlowHash, runtime::kMaxBatchSize> hashes;
   std::array<const void*, runtime::kMaxBatchSize> entries;

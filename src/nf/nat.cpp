@@ -232,20 +232,12 @@ void NatNf::connection_packets(runtime::PacketBatch& batch,
   }
 }
 
-void NatNf::regular_packets(runtime::PacketBatch& batch, core::NfContext& ctx,
-                            core::BatchVerdicts& verdicts) {
-  // Standalone / virtual-dispatch path: derive the per-batch metadata here
-  // and run the same bulk pipeline the fused chain uses.
-  core::BatchMeta meta;
-  meta.build(batch);
-  regular_packets(batch, meta, ctx, verdicts);
-}
-
 void NatNf::regular_packets(runtime::PacketBatch& batch, core::BatchMeta& meta,
                             core::NfContext& ctx,
                             core::BatchVerdicts& verdicts) {
   // Bulk path: gather each TCP packet's tuple and memoized rx hash, resolve
   // all translations with one pipelined get_flows, then apply rewrites.
+  meta.ensure_built(batch);
   std::array<net::FiveTuple, runtime::kMaxBatchSize> keys;
   std::array<core::FlowStateApi::FlowHash, runtime::kMaxBatchSize> hashes;
   std::array<const void*, runtime::kMaxBatchSize> entries;

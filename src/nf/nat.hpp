@@ -55,12 +55,9 @@ class NatNf final : public core::INetworkFunction {
 
   void connection_packets(runtime::PacketBatch& batch, core::NfContext& ctx,
                           core::BatchVerdicts& verdicts) override;
-  void regular_packets(runtime::PacketBatch& batch, core::NfContext& ctx,
-                       core::BatchVerdicts& verdicts) override;
-  /// Fused-chain fast path: tuples and hashes come pre-extracted from the
-  /// shared per-batch metadata instead of being re-derived per hop.
   void regular_packets(runtime::PacketBatch& batch, core::BatchMeta& meta,
-                       core::NfContext& ctx, core::BatchVerdicts& verdicts);
+                       core::NfContext& ctx,
+                       core::BatchVerdicts& verdicts) override;
   /// Lifecycle hooks (the framework's bounded sweep replaces the old
   /// full-table housekeeping scan). A session expires when its TIME_WAIT
   /// deadline passes, or — for active sessions — when BOTH directions have

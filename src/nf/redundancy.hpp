@@ -37,7 +37,8 @@ class RedundancyNf final : public core::INetworkFunction {
     // Unreachable for a stateless NF (everything goes to regular_packets).
   }
 
-  void regular_packets(runtime::PacketBatch& batch, core::NfContext& ctx,
+  void regular_packets(runtime::PacketBatch& batch, core::BatchMeta& /*meta*/,
+                       core::NfContext& ctx,
                        core::BatchVerdicts& /*verdicts*/) override {
     for (net::Packet* pkt : batch) {
       if (!pkt->is_tcp() && !pkt->is_udp()) continue;

@@ -48,6 +48,7 @@ void SyntheticNf::connection_packets(runtime::PacketBatch& batch,
 }
 
 void SyntheticNf::regular_packets(runtime::PacketBatch& batch,
+                                  core::BatchMeta& /*meta*/,
                                   core::NfContext& ctx,
                                   core::BatchVerdicts& /*verdicts*/) {
   // "Retrieves the flow state": gather every TCP packet's canonical key and

@@ -25,7 +25,8 @@ class SyntheticNf final : public core::INetworkFunction {
 
   void connection_packets(runtime::PacketBatch& batch, core::NfContext& ctx,
                           core::BatchVerdicts& verdicts) override;
-  void regular_packets(runtime::PacketBatch& batch, core::NfContext& ctx,
+  void regular_packets(runtime::PacketBatch& batch, core::BatchMeta& meta,
+                       core::NfContext& ctx,
                        core::BatchVerdicts& verdicts) override;
 
   [[nodiscard]] const char* name() const noexcept override {

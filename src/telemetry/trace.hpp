@@ -4,9 +4,9 @@
 // A sampled packet is stamped at rx admission with a reserved bit of
 // `Packet::user_tag` (bit 62) plus a 48-bit nanosecond timestamp relative
 // to the tracer's construction (≈78 hours of range; deltas are computed
-// mod 2^48 so wrap is harmless). Each stage reads the stamp, records
-// `now - stamp` into its histogram, and re-stamps with `now`, so the
-// histograms decompose the packet's path:
+// mod 2^48 so wrap is harmless, and a negative delta records 0). Each stage
+// reads the stamp, records `now - stamp` into its histogram, and re-stamps
+// with `now`, so the histograms decompose the packet's path:
 //
 //   trace.steer_ns  — rx admission → steering decision (driver thread)
 //   trace.queue_ns  — rx-ring doorbell → worker poll (the queue delay that
@@ -143,8 +143,12 @@ class PathTracer {
   [[nodiscard]] u64 rel_ns(Time now) const noexcept {
     return (now / kNanosecond - base_ns_) & kTsMask;
   }
+  /// Stage latency, mod 2^48 (clock wrap is harmless). A stamp later than
+  /// `now_rel` — the driver stamped a packet after the worker that popped
+  /// it read its clock — is a negative delta, recorded as 0.
   [[nodiscard]] static u64 delta(u64 tag, u64 now_rel) noexcept {
-    return (now_rel - (tag & kTsMask)) & kTsMask;
+    const u64 d = (now_rel - (tag & kTsMask)) & kTsMask;
+    return d > (kTsMask >> 1) ? 0 : d;
   }
 
   const u64 sample_mask_;

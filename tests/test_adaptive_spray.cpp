@@ -318,8 +318,8 @@ class CoreRecordingNf final : public INetworkFunction {
     record(batch, ctx);
     (void)verdicts;  // forward everything
   }
-  void regular_packets(runtime::PacketBatch& batch, NfContext& ctx,
-                       BatchVerdicts& verdicts) override {
+  void regular_packets(runtime::PacketBatch& batch, BatchMeta& /*meta*/,
+                       NfContext& ctx, BatchVerdicts& verdicts) override {
     record(batch, ctx);
     (void)verdicts;
   }

@@ -1,7 +1,8 @@
-// Service-chain engine: batch compaction units, fused-vs-dynamic-vs-
-// sequential equivalence over the canonical NAT -> firewall -> LB -> monitor
-// chain, memoized-hash refresh across a tuple-rewriting hop, stateless hops
-// inside a mixed chain, and a 4-core threaded churn run over the full chain.
+// Service-chain engine: batch compaction units, chain-vs-sequential
+// equivalence over the canonical NAT -> firewall -> LB -> monitor chain,
+// the lazily built shared batch metadata, memoized-hash refresh across a
+// tuple-rewriting hop, stateless hops inside a mixed chain, and a 4-core
+// threaded churn run over the full chain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +23,7 @@
 #include "nf/monitor.hpp"
 #include "nf/nat.hpp"
 #include "nf/redundancy.hpp"
+#include "nf/synthetic.hpp"
 
 namespace sprayer::core {
 namespace {
@@ -63,12 +65,12 @@ nf::LbConfig lb_config() {
   return cfg;
 }
 
-/// Everything an IChain needs to run standalone on one core: per-hop flow
+/// Everything a chain needs to run standalone on one core: per-hop flow
 /// tables, per-hop contexts, scratch — the same wiring the executors build,
 /// minus threads and rings.
 class ChainRig {
  public:
-  explicit ChainRig(IChain& chain, u32 num_cores = 1)
+  explicit ChainRig(DynamicChain& chain, u32 num_cores = 1)
       : chain_(chain), picker_(num_cores) {
     const u32 hops = chain.num_hops();
     hop_cfgs_.resize(hops);
@@ -106,6 +108,8 @@ class ChainRig {
                         now_ += kMicrosecond, drops);
   }
 
+  [[nodiscard]] const ChainScratch& scratch() const { return scratch_; }
+
   [[nodiscard]] u64 table_entries() const {
     u64 n = 0;
     for (const auto& hop : tables_) {
@@ -115,7 +119,7 @@ class ChainRig {
   }
 
  private:
-  IChain& chain_;
+  DynamicChain& chain_;
   CorePicker picker_;
   CostModel costs_{};
   std::vector<NfInitConfig> hop_cfgs_;
@@ -180,7 +184,7 @@ TEST(PacketBatchCompact, NoDropsIsANoOp) {
   net::free_packets(batch.packets());
 }
 
-// --- Fused vs dynamic vs sequential equivalence ---------------------------
+// --- Multi-hop chain vs sequential one-hop chains ---------------------------
 
 /// One complete NF set for the canonical 4-hop chain.
 struct NfSet {
@@ -236,42 +240,30 @@ ArmResult run_workload(net::PacketPool& pool, u32 flows, ProcessFn&& process) {
   return result;
 }
 
-TEST(ChainEquivalence, FusedDynamicAndSequentialAgree) {
+TEST(ChainEquivalence, MultiHopChainMatchesSequentialOneHopChains) {
   net::PacketPool pool(1024, 256);
   constexpr u32 kFlows = 16;
 
-  // Arm 1: compile-time fused chain.
-  NfSet f;
-  NfChain<nf::NatNf, nf::FirewallNf, nf::LoadBalancerNf, nf::MonitorNf>
-      fused(f.nat, f.fw, f.lb, f.mon);
-  ChainRig fused_rig(fused);
-  const ArmResult fused_res =
+  // Arm 1: one four-hop chain, hops sharing the per-batch metadata.
+  NfSet c;
+  DynamicChain chain({&c.nat, &c.fw, &c.lb, &c.mon});
+  ChainRig chain_rig(chain);
+  const ArmResult chain_res =
       run_workload(pool, kFlows,
                    [&](runtime::PacketBatch& b, bool conn,
                        runtime::PacketBatch& drops) {
-                     conn ? fused_rig.conn(b, drops)
-                          : fused_rig.regular(b, drops);
+                     conn ? chain_rig.conn(b, drops)
+                          : chain_rig.regular(b, drops);
                    });
 
-  // Arm 2: same hops, type-erased virtual dispatch.
-  NfSet d;
-  DynamicChain dynamic({&d.nat, &d.fw, &d.lb, &d.mon});
-  ChainRig dynamic_rig(dynamic);
-  const ArmResult dynamic_res =
-      run_workload(pool, kFlows,
-                   [&](runtime::PacketBatch& b, bool conn,
-                       runtime::PacketBatch& drops) {
-                     conn ? dynamic_rig.conn(b, drops)
-                          : dynamic_rig.regular(b, drops);
-                   });
-
-  // Arm 3: four fully independent single-NF passes, survivors fed forward —
-  // what running four separate middleboxes back-to-back would do.
+  // Arm 2: four fully independent single-NF passes, survivors fed forward —
+  // what running four separate middleboxes back-to-back would do (each
+  // pass builds its own metadata).
   NfSet s;
   DynamicChain s0{s.nat}, s1{s.fw}, s2{s.lb}, s3{s.mon};
   std::vector<std::unique_ptr<ChainRig>> seq_rigs;
-  for (DynamicChain* c : {&s0, &s1, &s2, &s3}) {
-    seq_rigs.push_back(std::make_unique<ChainRig>(*c));
+  for (DynamicChain* one_hop : {&s0, &s1, &s2, &s3}) {
+    seq_rigs.push_back(std::make_unique<ChainRig>(*one_hop));
   }
   const ArmResult seq_res = run_workload(
       pool, kFlows,
@@ -283,14 +275,12 @@ TEST(ChainEquivalence, FusedDynamicAndSequentialAgree) {
       });
 
   // Identical forwarded packets (tuples, LB MACs, checksums), in order.
-  EXPECT_EQ(fused_res.tx, dynamic_res.tx);
-  EXPECT_EQ(fused_res.tx, seq_res.tx);
-  EXPECT_EQ(fused_res.drops, dynamic_res.drops);
-  EXPECT_EQ(fused_res.drops, seq_res.drops);
-  EXPECT_EQ(fused_res.drops, 0u);  // ACL allows, every flow has state
+  EXPECT_EQ(chain_res.tx, seq_res.tx);
+  EXPECT_EQ(chain_res.drops, seq_res.drops);
+  EXPECT_EQ(chain_res.drops, 0u);  // ACL allows, every flow has state
 
-  // Identical per-NF counters in every arm.
-  for (const NfSet* set : {&f, &d, &s}) {
+  // Identical per-NF counters in both arms.
+  for (const NfSet* set : {&c, &s}) {
     EXPECT_EQ(set->nat.counters().sessions_opened, kFlows);
     EXPECT_EQ(set->nat.counters().sessions_closed, kFlows);
     EXPECT_EQ(set->nat.counters().unmatched_dropped, 0u);
@@ -304,8 +294,50 @@ TEST(ChainEquivalence, FusedDynamicAndSequentialAgree) {
     EXPECT_EQ(set->mon.aggregate().connections_closed, kFlows);
     EXPECT_EQ(set->mon.aggregate().packets, kFlows * 5u);
   }
-  EXPECT_EQ(fused_rig.table_entries(), 0u);
-  EXPECT_EQ(dynamic_rig.table_entries(), 0u);
+  EXPECT_EQ(chain_rig.table_entries(), 0u);
+  EXPECT_EQ(pool.available(), pool.size());
+}
+
+// --- Lazily built shared metadata -------------------------------------------
+
+TEST(ChainLazyMeta, SyntheticOnlyChainNeverBuildsMeta) {
+  net::PacketPool pool(128, 256);
+  nf::SyntheticNf first;
+  nf::SyntheticNf second;
+  DynamicChain chain({&first, &second});
+  ChainRig rig(chain);
+
+  constexpr u32 kFlows = 8;
+  runtime::PacketBatch batch;
+  runtime::PacketBatch drops;
+  for (u32 i = 0; i < kFlows; ++i) {
+    batch.push(make_pkt(pool, client_flow(i), net::TcpFlags::kSyn));
+  }
+  rig.conn(batch, drops);
+  EXPECT_FALSE(rig.scratch().meta.built);
+  net::free_packets(batch.packets());
+  batch.clear();
+
+  for (u32 i = 0; i < kFlows; ++i) {
+    batch.push(make_pkt(pool, client_flow(i), net::TcpFlags::kAck, i));
+  }
+  rig.regular(batch, drops);
+  ASSERT_EQ(batch.size(), kFlows);
+  // Neither hop reads the shared tuples or hashes, so no hop built them.
+  EXPECT_FALSE(rig.scratch().meta.built);
+  net::free_packets(batch.packets());
+  EXPECT_EQ(first.lookup_misses() + second.lookup_misses(), 0u);
+  EXPECT_EQ(drops.size(), 0u);
+
+  // Control: a hop that reads the metadata builds it during the pass.
+  nf::MonitorNf mon;
+  DynamicChain reader(mon);
+  ChainRig reader_rig(reader);
+  batch.clear();
+  batch.push(make_pkt(pool, client_flow(0), net::TcpFlags::kAck));
+  reader_rig.regular(batch, drops);
+  EXPECT_TRUE(reader_rig.scratch().meta.built);
+  net::free_packets(batch.packets());
   EXPECT_EQ(pool.available(), pool.size());
 }
 
@@ -313,38 +345,33 @@ TEST(ChainEquivalence, FusedDynamicAndSequentialAgree) {
 
 TEST(ChainHashRefresh, SurvivorsCarryValidHashAfterNat) {
   net::PacketPool pool(128, 256);
-  for (const bool use_fused : {true, false}) {
-    nf::NatNf nat;
-    nf::MonitorNf mon;
-    NfChain<nf::NatNf, nf::MonitorNf> fused(nat, mon);
-    DynamicChain dynamic({&nat, &mon});
-    IChain& chain = use_fused ? static_cast<IChain&>(fused)
-                              : static_cast<IChain&>(dynamic);
-    ChainRig rig(chain);
+  nf::NatNf nat;
+  nf::MonitorNf mon;
+  DynamicChain chain({&nat, &mon});
+  ChainRig rig(chain);
 
-    const net::FiveTuple t = client_flow(7);
-    runtime::PacketBatch batch;
-    runtime::PacketBatch drops;
-    batch.push(make_pkt(pool, t, net::TcpFlags::kSyn));
-    rig.conn(batch, drops);
-    ASSERT_EQ(batch.size(), 1u);
-    net::free_packets(batch.packets());
-    batch.clear();
+  const net::FiveTuple t = client_flow(7);
+  runtime::PacketBatch batch;
+  runtime::PacketBatch drops;
+  batch.push(make_pkt(pool, t, net::TcpFlags::kSyn));
+  rig.conn(batch, drops);
+  ASSERT_EQ(batch.size(), 1u);
+  net::free_packets(batch.packets());
+  batch.clear();
 
-    batch.push(make_pkt(pool, t, net::TcpFlags::kAck, 42));
-    rig.regular(batch, drops);
-    ASSERT_EQ(batch.size(), 1u);
-    net::Packet* out = batch[0];
-    // NAT rewrote the source...
-    EXPECT_EQ(out->ipv4().src().host_order(), kExternalIp.host_order());
-    // ...and the chain re-memoized the hash for the downstream hop, so
-    // post-chain consumers never read a stale memo.
-    ASSERT_TRUE(out->has_flow_hash());
-    EXPECT_EQ(out->flow_hash(), hash::flow_hash(out->five_tuple()));
-    // Symmetric hash: the memo also routes return traffic correctly.
-    EXPECT_EQ(out->flow_hash(), hash::flow_hash(out->five_tuple().reversed()));
-    net::free_packets(batch.packets());
-  }
+  batch.push(make_pkt(pool, t, net::TcpFlags::kAck, 42));
+  rig.regular(batch, drops);
+  ASSERT_EQ(batch.size(), 1u);
+  net::Packet* out = batch[0];
+  // NAT rewrote the source...
+  EXPECT_EQ(out->ipv4().src().host_order(), kExternalIp.host_order());
+  // ...and the chain re-memoized the hash for the downstream hop, so
+  // post-chain consumers never read a stale memo.
+  ASSERT_TRUE(out->has_flow_hash());
+  EXPECT_EQ(out->flow_hash(), hash::flow_hash(out->five_tuple()));
+  // Symmetric hash: the memo also routes return traffic correctly.
+  EXPECT_EQ(out->flow_hash(), hash::flow_hash(out->five_tuple().reversed()));
+  net::free_packets(batch.packets());
   EXPECT_EQ(pool.available(), pool.size());
 }
 
@@ -353,33 +380,28 @@ TEST(ChainHashRefresh, LastHopRewriteLeavesMemoLazy) {
   // reader: the chain skips the eager refresh and leaves the memo
   // invalidated, and the next packet_flow_hash() call recomputes it.
   net::PacketPool pool(128, 256);
-  for (const bool use_fused : {true, false}) {
-    nf::NatNf nat;
-    NfChain<nf::NatNf> fused(nat);
-    DynamicChain dynamic(nat);
-    IChain& chain = use_fused ? static_cast<IChain&>(fused)
-                              : static_cast<IChain&>(dynamic);
-    ChainRig rig(chain);
+  nf::NatNf nat;
+  DynamicChain chain(nat);
+  ChainRig rig(chain);
 
-    const net::FiveTuple t = client_flow(3);
-    runtime::PacketBatch batch;
-    runtime::PacketBatch drops;
-    batch.push(make_pkt(pool, t, net::TcpFlags::kSyn));
-    rig.conn(batch, drops);
-    ASSERT_EQ(batch.size(), 1u);
-    net::free_packets(batch.packets());
-    batch.clear();
+  const net::FiveTuple t = client_flow(3);
+  runtime::PacketBatch batch;
+  runtime::PacketBatch drops;
+  batch.push(make_pkt(pool, t, net::TcpFlags::kSyn));
+  rig.conn(batch, drops);
+  ASSERT_EQ(batch.size(), 1u);
+  net::free_packets(batch.packets());
+  batch.clear();
 
-    batch.push(make_pkt(pool, t, net::TcpFlags::kAck, 42));
-    rig.regular(batch, drops);
-    ASSERT_EQ(batch.size(), 1u);
-    net::Packet* out = batch[0];
-    EXPECT_EQ(out->ipv4().src().host_order(), kExternalIp.host_order());
-    EXPECT_FALSE(out->has_flow_hash());
-    // Lazy recompute yields the hash of the rewritten tuple, never stale.
-    EXPECT_EQ(hash::packet_flow_hash(*out), hash::flow_hash(out->five_tuple()));
-    net::free_packets(batch.packets());
-  }
+  batch.push(make_pkt(pool, t, net::TcpFlags::kAck, 42));
+  rig.regular(batch, drops);
+  ASSERT_EQ(batch.size(), 1u);
+  net::Packet* out = batch[0];
+  EXPECT_EQ(out->ipv4().src().host_order(), kExternalIp.host_order());
+  EXPECT_FALSE(out->has_flow_hash());
+  // Lazy recompute yields the hash of the rewritten tuple, never stale.
+  EXPECT_EQ(hash::packet_flow_hash(*out), hash::flow_hash(out->five_tuple()));
+  net::free_packets(batch.packets());
   EXPECT_EQ(pool.available(), pool.size());
 }
 
@@ -389,7 +411,7 @@ TEST(ChainMixed, StatelessHopSeesConnectionPacketsAsRegular) {
   net::PacketPool pool(128, 256);
   nf::RedundancyNf re;  // stateless: everything lands in regular_packets()
   nf::MonitorNf mon;
-  NfChain<nf::RedundancyNf, nf::MonitorNf> chain(re, mon);
+  DynamicChain chain({&re, &mon});
   ChainRig rig(chain);
 
   constexpr u32 kFlows = 8;
@@ -428,8 +450,7 @@ TEST(ChainThreaded, FourCoreChurnConservesEverything) {
   constexpr u32 kFlows = 32;
 
   NfSet nfs;
-  NfChain<nf::NatNf, nf::FirewallNf, nf::LoadBalancerNf, nf::MonitorNf>
-      chain(nfs.nat, nfs.fw, nfs.lb, nfs.mon);
+  DynamicChain chain({&nfs.nat, &nfs.fw, &nfs.lb, &nfs.mon});
 
   std::atomic<u64> tx{0};
   ThreadedMiddlebox::TxBatchHandler sink =

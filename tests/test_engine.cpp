@@ -46,8 +46,8 @@ class RecordingNf final : public INetworkFunction {
     conn_seen += batch.size();
     ctx.consume_cycles(conn_cost * batch.size());
   }
-  void regular_packets(runtime::PacketBatch& batch, NfContext& ctx,
-                       BatchVerdicts& verdicts) override {
+  void regular_packets(runtime::PacketBatch& batch, BatchMeta& /*meta*/,
+                       NfContext& ctx, BatchVerdicts& verdicts) override {
     regular_seen += batch.size();
     ctx.consume_cycles(regular_cost * batch.size());
     for (u32 i = 0; i < batch.size(); ++i) {

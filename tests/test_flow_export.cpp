@@ -360,6 +360,37 @@ TEST(PathTracer, TimestampWrapsSafelyAcross48Bits) {
   EXPECT_LE(steer->merged.p50(), 200u);
 }
 
+TEST(PathTracer, StampAfterTheStageClockRecordsZero) {
+  // The driver may stamp a packet after the worker that pops it read its
+  // clock: the negative delta must record 0, not (now - stamp) mod 2^48.
+  TraceConfig tc;
+  tc.sample_shift = 0;
+  MetricsRegistry reg(1);
+  PathTracer tracer(tc, /*base=*/0);
+  tracer.register_metrics(reg);
+  reg.finalize();
+
+  net::PacketPool pool(4, 128);
+  auto owned = pool.alloc();
+  net::Packet* pkt = owned.get();
+  ASSERT_NE(pkt, nullptr);
+  pkt->user_tag = 0;
+  const Time worker_now = 5 * kMicrosecond;
+  ASSERT_TRUE(tracer.maybe_stamp(
+      *pkt, [&] { return worker_now + 300 * kNanosecond; }));
+  std::array<net::Packet*, 1> batch{pkt};
+  reg.begin_update(0);
+  tracer.record_queue(batch, 0, worker_now);
+  reg.end_update(0);
+
+  SnapshotCollector collector(reg);
+  const auto snap = collector.collect();
+  const auto* queue = snap.find_histogram("trace.queue_ns");
+  ASSERT_NE(queue, nullptr);
+  EXPECT_EQ(queue->merged.count(), 1u);
+  EXPECT_EQ(queue->merged.max(), 0u);
+}
+
 // --- JsonExporter hardening -------------------------------------------------
 
 TEST(JsonExporter, EscapesStringsForValidJson) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "net/packet_builder.hpp"
@@ -105,7 +107,19 @@ TEST(WorkerGroup, StartStopAndWorkDistribution) {
   });
   EXPECT_TRUE(group.running());
   EXPECT_EQ(group.size(), 3u);
-  while (iterations.load(std::memory_order_relaxed) < 300) {
+  // Wait for every worker, not just for a total: on a loaded host one thread
+  // may start long after the others have done hundreds of iterations. The
+  // deadline turns a worker that never runs into a failure, not a hang.
+  const auto all_ran = [&] {
+    for (const auto& c : per_core) {
+      if (c.load(std::memory_order_relaxed) == 0) return false;
+    }
+    return true;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((iterations.load(std::memory_order_relaxed) < 300 || !all_ran()) &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
   group.stop();

@@ -521,8 +521,14 @@ TEST(IdleAging, ActiveTrafficKeepsSessionsAlive) {
       nat, std::move(sink));
   mbox.start();
   const auto flows = nic::random_tcp_flows(8, 23);
-  for (const auto& f : flows) {
-    must_inject(mbox, pool, f, net::TcpFlags::kSyn);
+  // Touch the sessions already open while the others open: on a loaded host
+  // each wait_idle can take tens of milliseconds, and a session left idle
+  // for the whole ramp really does pass its timeout before the loop below.
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    must_inject(mbox, pool, flows[i], net::TcpFlags::kSyn);
+    for (std::size_t j = 0; j < i; ++j) {
+      must_inject(mbox, pool, flows[j], net::TcpFlags::kAck);
+    }
     mbox.wait_idle();
   }
   // Keep every session busy for several timeout periods: the per-packet

@@ -1,5 +1,5 @@
-// SPSC and MPMC rings: capacity semantics, bulk operations, FIFO order,
-// and real-thread stress tests.
+// SPSC rings and packet batches: capacity semantics, bulk operations, FIFO
+// order, and real-thread stress tests.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "runtime/batch.hpp"
-#include "runtime/mpmc_ring.hpp"
 #include "runtime/spsc_ring.hpp"
 
 namespace sprayer::runtime {
@@ -151,50 +150,6 @@ TEST(SpscRing, ThreadedProducerConsumer) {
   }
   consumer.join();
   EXPECT_EQ(sum_consumed, sum_produced);
-}
-
-TEST(MpmcRing, FillDrain) {
-  MpmcRing<int> ring(16);
-  for (int i = 0; i < 16; ++i) EXPECT_TRUE(ring.push(i));
-  EXPECT_FALSE(ring.push(100));
-  for (int i = 0; i < 16; ++i) {
-    int v;
-    EXPECT_TRUE(ring.pop(v));
-    EXPECT_EQ(v, i);
-  }
-  int v;
-  EXPECT_FALSE(ring.pop(v));
-}
-
-TEST(MpmcRing, ThreadedManyToOne) {
-  MpmcRing<u64> ring(256);
-  constexpr int kProducers = 3;
-  constexpr u64 kPerProducer = 50000;
-  std::atomic<u64> total{0};
-  std::thread consumer([&] {
-    u64 received = 0;
-    while (received < kProducers * kPerProducer) {
-      u64 v;
-      if (ring.pop(v)) {
-        total.fetch_add(v, std::memory_order_relaxed);
-        ++received;
-      }
-    }
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
-      for (u64 i = 0; i < kPerProducer; ++i) {
-        const u64 v = static_cast<u64>(p) * kPerProducer + i + 1;
-        while (!ring.push(v)) std::this_thread::yield();
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  consumer.join();
-
-  const u64 n = kProducers * kPerProducer;
-  EXPECT_EQ(total.load(), n * (n + 1) / 2);
 }
 
 TEST(PacketBatch, PushIterateClear) {

@@ -219,6 +219,43 @@ TEST(ThreadedMiddlebox, BulkInjectAndBatchedTxConservePackets) {
   EXPECT_EQ(nf.lookup_misses(), 0u);
 }
 
+TEST(ThreadedMiddlebox, ScalarInjectFeedsQueueDelayHistogram) {
+  // inject() is a burst of one through inject_bulk(): a scalar caller gets
+  // the same rx timestamp, and so the same rx.queue_delay_ns samples.
+  net::PacketPool pool(1024, 256);
+  nf::SyntheticNf nf(0);
+  Collector out;
+  SprayerConfig cfg;
+  cfg.num_cores = 2;
+  cfg.mode = DispatchMode::kSpray;
+  cfg.telemetry = true;
+  ThreadedMiddlebox mbox(cfg, nf, out.handler());
+  mbox.start();
+
+  const auto flows = nic::random_tcp_flows(4, 5);
+  u64 injected = 0;
+  for (const auto& f : flows) {
+    if (mbox.inject(make_packet(pool, f, net::TcpFlags::kSyn, 0))) {
+      ++injected;
+    }
+  }
+  mbox.wait_idle();
+  for (u32 i = 0; i < 200; ++i) {
+    net::Packet* pkt =
+        make_packet(pool, flows[i % flows.size()], net::TcpFlags::kAck, i);
+    if (mbox.inject(pkt)) ++injected;
+  }
+  mbox.wait_idle();
+  const auto snap = mbox.telemetry_snapshot();
+  mbox.stop();
+
+  const auto* delay = snap.find_histogram("rx.queue_delay_ns");
+  ASSERT_NE(delay, nullptr);
+  EXPECT_GT(delay->merged.count(), 0u);
+  EXPECT_EQ(out.packets.load(), injected);
+  EXPECT_EQ(pool.available(), pool.size());
+}
+
 TEST(ThreadedMiddlebox, StatsReadableWhileWorkersRun) {
   // CoreStats fields are single-writer relaxed cells, so total_stats() and
   // core_stats() may be polled from any thread while workers run — this

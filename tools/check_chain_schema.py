@@ -19,7 +19,6 @@ import sys
 NUMBER = (int, float)
 TOP_FIELDS = {
     "bench": str,
-    "dispatch": str,
     "driver": str,
     "hops": int,
     "cores": int,
@@ -58,8 +57,6 @@ def check_record(rec, where):
                 f"{where}: field {field!r} missing or not {ftype}")
     require(rec["bench"] == "chain_throughput",
             f"{where}: bench must be 'chain_throughput'")
-    require(rec["dispatch"] in ("fused", "virtual"),
-            f"{where}: dispatch must be fused|virtual")
     require(rec["driver"] in ("inline", "threaded"),
             f"{where}: driver must be inline|threaded")
     require(1 <= rec["hops"] <= 4, f"{where}: hops out of [1, 4]")
