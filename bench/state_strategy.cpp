@@ -1,30 +1,27 @@
 // Head-to-head race of the pluggable flow-state strategies (DESIGN.md §14)
-// on the threaded executor: writing partition vs state-compute replication
-// vs the shared-locked strawman, across three traffic mixes chosen to pull
-// the strategies apart:
+// on the threaded executor: writing partition vs state-compute replication,
+// across three traffic mixes chosen to pull the strategies apart:
 //
 //   churn        — pure SYN/FIN storm through the monitor (insert/remove at
 //                  every packet): the flow-event path dominates, so the cost
-//                  of redirecting + replicating (or of writer-exclusive
-//                  locking) is the whole story;
+//                  of redirecting + replicating is the whole story;
 //   nat_write    — NAT sessions held open while every cycle re-touches them
 //                  with SYN/FIN mutations between data bursts: write-heavy
-//                  flow events plus a translated read per data packet
-//                  (teardown is FIN-only, so the strawman's racy close path
-//                  never double-releases a port — see DESIGN.md §14 on why
-//                  that path cannot be raced safely at all);
+//                  flow events plus a translated read per data packet (one
+//                  FIN per cycle, from one side only, so no session ever
+//                  closes and the tables stay at the flow-set size);
 //   monitor_read — established flows, pure data: the regular path is
 //                  read-only, which is replication's best case (every
 //                  get_flow is served from the local replica) and writing
 //                  partition's cross-core cache-miss case.
 //
 // Emits one JSON line per (strategy, workload) with throughput plus the
-// per-strategy telemetry (remote reads / avoided remote reads / lock
-// acquisitions, sync-frame broadcast traffic, replica-divergence audit);
+// per-strategy telemetry (remote reads / avoided remote reads, sync-frame
+// broadcast traffic, replica-divergence audit);
 // tools/check_state_schema.py validates the output and CI gates on it:
 //
 //   ./bench/state_strategy
-//       [strategies=writing_partition,replication,shared_locked]
+//       [strategies=writing_partition,replication]
 //       [workloads=churn,nat_write,monitor_read] [cores=4] [duration=0.4]
 //       [flows=0 (per-workload default)] [rx_batch=32] [burst=32]
 #include <algorithm>
@@ -279,7 +276,6 @@ RunResult run_one(const RunConfig& rc) {
                          .strategy_counters();
     res.counters.remote_reads += sc.remote_reads.load();
     res.counters.remote_reads_avoided += sc.remote_reads_avoided.load();
-    res.counters.lock_acquisitions += sc.lock_acquisitions.load();
   }
   mbox.stop();
   return res;
@@ -295,8 +291,7 @@ void print_json(const RunConfig& rc, const RunResult& res) {
       "\"foreign_in\":%llu},"
       "\"access\":{\"reads_regular\":%llu,\"reads_conn\":%llu,"
       "\"writes_regular\":%llu,\"writes_conn\":%llu},"
-      "\"state\":{\"remote_reads\":%llu,\"remote_reads_avoided\":%llu,"
-      "\"lock_acquisitions\":%llu},",
+      "\"state\":{\"remote_reads\":%llu,\"remote_reads_avoided\":%llu},",
       state::to_string(rc.strategy), to_string(rc.workload), rc.cores,
       rc.effective_flows(), res.elapsed_s,
       static_cast<unsigned long long>(res.injected),
@@ -312,8 +307,7 @@ void print_json(const RunConfig& rc, const RunResult& res) {
       static_cast<unsigned long long>(res.access.writes_in_connection),
       static_cast<unsigned long long>(res.counters.remote_reads.load()),
       static_cast<unsigned long long>(
-          res.counters.remote_reads_avoided.load()),
-      static_cast<unsigned long long>(res.counters.lock_acquisitions.load()));
+          res.counters.remote_reads_avoided.load()));
   if (rc.strategy == state::StateStrategyKind::kReplication) {
     std::printf(
         "\"sync\":{\"frames_sent\":%llu,\"bytes_sent\":%llu,"
@@ -350,8 +344,8 @@ int main(int argc, char** argv) {
   base.rx_batch = static_cast<u32>(cli.get_u64("rx_batch", 32));
   base.burst = static_cast<u32>(cli.get_u64("burst", 32));
 
-  const std::string strategies = cli.get(
-      "strategies", "writing_partition,replication,shared_locked");
+  const std::string strategies =
+      cli.get("strategies", "writing_partition,replication");
   const std::string workloads =
       cli.get("workloads", "churn,nat_write,monitor_read");
   for (const auto& wl : split_list(workloads)) {
@@ -361,8 +355,6 @@ int main(int argc, char** argv) {
         rc.strategy = state::StateStrategyKind::kWritingPartition;
       } else if (st == "replication" || st == "repl") {
         rc.strategy = state::StateStrategyKind::kReplication;
-      } else if (st == "shared_locked" || st == "locked") {
-        rc.strategy = state::StateStrategyKind::kSharedLocked;
       } else {
         std::fprintf(stderr, "unknown strategy %s\n", st.c_str());
         return 2;

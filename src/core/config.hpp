@@ -136,10 +136,6 @@ struct SprayerConfig {
   u32 transfer_retry_spin = 1;
   /// Fault injection for the transfer path (tests/benches; see above).
   TransferFaultConfig transfer_fault;
-  /// Ablation knob: route FlowStateApi::get_flows through the prefetch-
-  /// pipelined FlowTable::find_batch (true) or the scalar per-lookup path
-  /// (false), for measuring what bulk lookup buys.
-  bool bulk_flow_lookup = true;
   /// Period of the per-core NF housekeeping callback (0 disables).
   Time housekeeping_interval = 10 * kMillisecond;
   /// Runtime telemetry (src/telemetry/): per-core sharded counters and
@@ -168,9 +164,8 @@ struct SprayerConfig {
   /// `telemetry`). Off by default.
   telemetry::TraceConfig trace;
   /// How cores share flow state (DESIGN.md §14): the paper's writing
-  /// partition (default), state-compute replication, or the shared
-  /// striped-lock baseline. Executors build their table topology and
-  /// engine hooks from this.
+  /// partition (default) or state-compute replication. Executors build
+  /// their table topology and engine hooks from this.
   state::StateStrategyConfig state;
   /// Flow-state lifecycle: idle aging sweep + segmented table growth.
   LifecycleConfig lifecycle;

@@ -43,14 +43,6 @@ Cycles SprayerCore::process_rx(runtime::PacketBatch& batch, Time now) {
       regular.push(pkt);
       continue;
     }
-    // Shared-locked strategy: no write partition, so connection packets are
-    // handled wherever they arrived (the lock, not the redirect, serializes
-    // table structure).
-    if (SPRAYER_UNLIKELY(!conn_redirect_)) {
-      conn_local.push(pkt);
-      ++stats_.conn_local;
-      continue;
-    }
     // Connection packet: route to its designated core via the memoized
     // rx-descriptor RSS hash (computed lazily if the NIC didn't stash one).
     const CoreId dest = picker_.pick_hash(hash::packet_flow_hash(*pkt));

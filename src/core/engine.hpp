@@ -153,12 +153,6 @@ class SprayerCore {
     recorder_ = recorder;
   }
 
-  /// Strategy hook (DESIGN.md §14): false routes connection packets to
-  /// their *arrival* core's connection handler instead of redirecting to
-  /// the designated core — the shared-locked baseline has no write
-  /// partition to honor. Default true (writing partition / replication).
-  void set_conn_redirect(bool redirect) noexcept { conn_redirect_ = redirect; }
-
   /// Replication hook: this core's sync runtime. When set, the engine
   /// harvests the op log into sync frames after every dispatch round and
   /// broadcasts them over the mesh (counted in conn_transferred_out — the
@@ -199,6 +193,12 @@ class SprayerCore {
   /// from any thread; the executor's wait_idle() polls it.
   [[nodiscard]] u32 pending_transfers() const noexcept {
     return pending_count_.load(std::memory_order_relaxed);
+  }
+
+  /// True while a descriptor sits in a staging buffer, between its
+  /// process_rx() and the flush at that batch's end. Worker thread only.
+  [[nodiscard]] bool transfers_staged() const noexcept {
+    return transfer_dirty_ != 0;
   }
 
   /// Teardown only: free every staged and parked descriptor (counted in
@@ -276,7 +276,6 @@ class SprayerCore {
   EngineTelemetry tm_;
   HeavyHitterSketch* sketch_ = nullptr;
   telemetry::FlowRecorder* recorder_ = nullptr;
-  bool conn_redirect_ = true;
   state::SyncRuntime* sync_ = nullptr;
   // Last pool seen on the rx/foreign path — sync frames borrow from it.
   net::PacketPool* sync_pool_ = nullptr;

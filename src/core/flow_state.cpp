@@ -28,31 +28,10 @@ void FlowStateApi::get_flows(std::span<const net::FiveTuple> flow_ids,
   SPRAYER_CHECK(hashes.size() == flow_ids.size());
   SPRAYER_CHECK(out.size() >= flow_ids.size());
 
-  if (!bulk_enabled_) {
-    // Ablation path: scalar get_flow per element, per-lookup costs.
-    for (std::size_t i = 0; i < flow_ids.size(); ++i) {
-      out[i] = get_flow(flow_ids[i], hashes[i]);
-    }
-    return;
-  }
-
-  if (strat_.kind == state::StateStrategyKind::kSharedLocked) {
-    // The shared table's probe sequences cross stripe boundaries, so bulk
-    // prefetch pipelining can't be overlapped with per-key locking; the
-    // strawman degrades to locked scalar copy-outs (part of what the race
-    // measures).
-    for (std::size_t i = 0; i < flow_ids.size(); ++i) {
-      count_read();
-      cycles_ += costs_.flow_lookup_remote;
-      out[i] = locked_copy_out(flow_ids[i], hashes[i]);
-    }
-    return;
-  }
-
   cycles_ += costs_.flow_lookup_batched * flow_ids.size();
   for (std::size_t i = 0; i < flow_ids.size(); ++i) count_read();
 
-  if (strat_.kind == state::StateStrategyKind::kReplication) {
+  if (replicating()) {
     // The replication payoff on the regular path: every lookup is served by
     // the local replica in one pipelined find_batch, no matter which core
     // is designated.

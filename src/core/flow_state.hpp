@@ -7,9 +7,8 @@
 //   get_flows(flow_ids...)       batched get_flow (the "optimized version")
 //
 // The API is the data plane of whichever state strategy (state/strategy.hpp,
-// DESIGN.md §14) the middlebox was built with; dispatch is an inline switch
-// on the strategy kind, never virtual, so the default writing-partition
-// path compiles to the code it always was:
+// DESIGN.md §14) the middlebox was built with; it branches inline on the
+// strategy kind, never through a virtual call:
 //
 //   * writing-partition — inserts/removes/mutations must happen on the
 //     flow's designated core (*enforced*: a violation throws); reads reach
@@ -18,8 +17,8 @@
 //     designated core is the replication sequencer), but every mutation is
 //     also logged for sync-frame broadcast, and every read is served from
 //     the local replica — no cross-core table access on the regular path.
-//   * shared-locked — one shared table: writes take every lock stripe,
-//     reads take the key's stripe and copy the entry out under it.
+//
+// Under both, every write to a flow's state happens on its designated core.
 //
 // Every call charges its modeled CPU cost to the calling core.
 //
@@ -27,13 +26,11 @@
 // `last_seen` stamp — writes and local lookups touch it outright, read
 // paths touch it at a coarse granularity to avoid cache-line ping-pong on
 // remote tables — and sweep_idle() drives the table's cursor-bounded group
-// sweep, gating expiry on owns_flow_events() so strategies whose tables
-// hold ALL flows (replication replicas, the shared table) expire each flow
-// exactly once, on its designated core.
+// sweep, gating expiry on owns_flow_events() so replication replicas, which
+// hold ALL flows, expire each flow exactly once, on its designated core.
 #pragma once
 
 #include <array>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -72,7 +69,6 @@ struct StrategyCounters {
   RelaxedU64 remote_reads;          // writing-partition: cross-core lookups
   RelaxedU64 remote_reads_avoided;  // replication: foreign-designated flows
                                     // served from the local replica
-  RelaxedU64 lock_acquisitions;     // shared-locked: one per locked API call
 };
 
 /// One sweep_idle() call's worth of work, for housekeeping telemetry.
@@ -103,18 +99,8 @@ class FlowStateApi {
   /// Attach the strategy view (executors call this right after building
   /// contexts; the default-constructed view is plain writing partition, so
   /// standalone uses — unit tests driving NfContext directly — need not).
-  void configure_strategy(const state::CoreStateView& view) {
+  void configure_strategy(const state::CoreStateView& view) noexcept {
     strat_ = view;
-    if (strat_.kind == state::StateStrategyKind::kSharedLocked &&
-        !tables_.empty()) {
-      // Copy-out ring for locked reads: entries are copied under the stripe
-      // so a concurrent insert's slot reuse can't yank the bytes from under
-      // the reader. Deep enough that one get_flows batch never wraps.
-      scratch_entry_size_ = tables_[0]->entry_size();
-      scratch_slots_ = 2 * state::StripedLock::kMaxStripes;
-      locked_scratch_ = std::make_unique<u8[]>(
-          static_cast<std::size_t>(scratch_slots_) * scratch_entry_size_);
-    }
   }
   [[nodiscard]] state::StateStrategyKind state_kind() const noexcept {
     return strat_.kind;
@@ -142,10 +128,10 @@ class FlowStateApi {
     return picker_.pick_hash(hash);
   }
 
-  /// True when this core owns the flow's lifecycle events — housekeeping
-  /// sweeps gate on it so strategies whose tables hold ALL flows
-  /// (replication replicas, the shared-locked table) expire each flow
-  /// exactly once instead of once per core.
+  /// True when this core owns the flow's lifecycle events: the only core
+  /// that may insert or remove it, and the one whose housekeeping sweep
+  /// expires it (so replication replicas, which hold ALL flows, expire each
+  /// flow exactly once instead of once per core).
   [[nodiscard]] bool owns_flow_events(FlowHash hash) const noexcept {
     return designated_core(hash) == core_;
   }
@@ -155,35 +141,22 @@ class FlowStateApi {
   }
 
   /// Insert a flow entry; returns the zeroed entry (or the existing one),
-  /// nullptr when the table is full. Under writing partition and
-  /// replication this core must be the flow's designated core (violations
-  /// throw, naming the active strategy and core).
+  /// nullptr when the table is full. This core must be the flow's
+  /// designated core (violations throw, naming the active strategy and
+  /// core).
   [[nodiscard]] void* insert_local_flow(const net::FiveTuple& flow_id) {
     return insert_local_flow(flow_id, FlowTable::hash_of(flow_id));
   }
   [[nodiscard]] void* insert_local_flow(const net::FiveTuple& flow_id,
                                         FlowHash hash) {
-    SPRAYER_CHECK_MSG(may_write_flow(hash),
+    SPRAYER_CHECK_MSG(owns_flow_events(hash),
                       write_violation("insert_local_flow", flow_id, hash));
     cycles_ += costs_.flow_insert;
     count_write();
-    void* e = nullptr;
-    switch (strat_.kind) {
-      case state::StateStrategyKind::kWritingPartition:
-        e = local().insert(flow_id, hash);
-        break;
-      case state::StateStrategyKind::kReplication:
-        e = local().insert(flow_id, hash);
-        if (e != nullptr) strat_.log->record_upsert(flow_id, hash, strat_.hop);
-        break;
-      case state::StateStrategyKind::kSharedLocked:
-        ++counters_.lock_acquisitions;
-        strat_.lock->lock_all();
-        e = local().insert(flow_id, hash);
-        strat_.lock->unlock_all();
-        break;
-    }
-    if (e != nullptr) FlowTable::touch(e, now_);
+    void* e = local().insert(flow_id, hash);
+    if (e == nullptr) return nullptr;
+    if (replicating()) strat_.log->record_upsert(flow_id, hash, strat_.hop);
+    FlowTable::touch(e, now_);
     return e;
   }
 
@@ -192,27 +165,15 @@ class FlowStateApi {
     return remove_local_flow(flow_id, FlowTable::hash_of(flow_id));
   }
   bool remove_local_flow(const net::FiveTuple& flow_id, FlowHash hash) {
-    SPRAYER_CHECK_MSG(may_write_flow(hash),
+    SPRAYER_CHECK_MSG(owns_flow_events(hash),
                       write_violation("remove_local_flow", flow_id, hash));
     cycles_ += costs_.flow_remove;
     count_write();
-    switch (strat_.kind) {
-      case state::StateStrategyKind::kWritingPartition:
-        return local().remove(flow_id, hash);
-      case state::StateStrategyKind::kReplication: {
-        const bool removed = local().remove(flow_id, hash);
-        if (removed) strat_.log->record_remove(flow_id, hash, strat_.hop);
-        return removed;
-      }
-      case state::StateStrategyKind::kSharedLocked: {
-        ++counters_.lock_acquisitions;
-        strat_.lock->lock_all();
-        const bool removed = local().remove(flow_id, hash);
-        strat_.lock->unlock_all();
-        return removed;
-      }
+    const bool removed = local().remove(flow_id, hash);
+    if (removed && replicating()) {
+      strat_.log->record_remove(flow_id, hash, strat_.hop);
     }
-    return false;
+    return removed;
   }
 
   /// Modifiable entry from the local table; nullptr if absent. Under
@@ -225,84 +186,38 @@ class FlowStateApi {
                                      FlowHash hash) {
     cycles_ += costs_.flow_lookup_local;
     count_write();  // returns a mutable entry: counted as write access
-    void* e = nullptr;
-    switch (strat_.kind) {
-      case state::StateStrategyKind::kWritingPartition:
-        e = local().find_local(flow_id, hash);
-        break;
-      case state::StateStrategyKind::kReplication:
-        e = local().find_local(flow_id, hash);
-        if (e != nullptr) strat_.log->record_upsert(flow_id, hash, strat_.hop);
-        break;
-      case state::StateStrategyKind::kSharedLocked:
-        // The stripe only guards the probe; the returned pointer is mutated
-        // after release. Two cores mutating the same flow's entry race —
-        // the strawman's inherent unsoundness (DESIGN.md §14), which the
-        // writing partition and replication exist to remove.
-        ++counters_.lock_acquisitions;
-        strat_.lock->lock_stripe(hash);
-        e = local().find_local(flow_id, hash);
-        strat_.lock->unlock_stripe(hash);
-        break;
-    }
-    if (e != nullptr) FlowTable::touch(e, now_);
+    void* e = local().find_local(flow_id, hash);
+    if (e == nullptr) return nullptr;
+    if (replicating()) strat_.log->record_upsert(flow_id, hash, strat_.hop);
+    FlowTable::touch(e, now_);
     return e;
   }
 
   /// Read-only entry lookup; nullptr if absent. Writing partition reads the
   /// designated core's table (the constness is the paper's contract: only
-  /// the designated core may write); replication reads the local replica;
-  /// shared-locked copies the entry out under the key's stripe.
+  /// the designated core may write); replication reads the local replica.
   [[nodiscard]] const void* get_flow(const net::FiveTuple& flow_id) {
     return get_flow(flow_id, FlowTable::hash_of(flow_id));
   }
   [[nodiscard]] const void* get_flow(const net::FiveTuple& flow_id,
                                      FlowHash hash) {
     count_read();
-    switch (strat_.kind) {
-      case state::StateStrategyKind::kWritingPartition: {
-        const CoreId dest = designated_core(hash);
-        if (dest == core_) {
-          cycles_ += costs_.flow_lookup_local;
-        } else {
-          cycles_ += costs_.flow_lookup_remote;
-          ++counters_.remote_reads;
-        }
-        const void* e = tables_[dest]->find_remote(flow_id, hash);
-        if (e != nullptr) FlowTable::touch_if_stale(e, now_, kTouchGranularity);
-        return e;
-      }
-      case state::StateStrategyKind::kReplication: {
-        cycles_ += costs_.flow_lookup_local;
-        if (designated_core(hash) != core_) ++counters_.remote_reads_avoided;
-        const void* e = local().find_remote(flow_id, hash);
-        if (e != nullptr) FlowTable::touch_if_stale(e, now_, kTouchGranularity);
-        return e;
-      }
-      case state::StateStrategyKind::kSharedLocked:
-        cycles_ += costs_.flow_lookup_remote;
-        return locked_copy_out(flow_id, hash);
-    }
-    return nullptr;
+    const void* e = read_table(hash).find_remote(flow_id, hash);
+    if (e != nullptr) FlowTable::touch_if_stale(e, now_, kTouchGranularity);
+    return e;
   }
 
   /// Batched get_flow: amortizes hashing and pipelines the tables' cache
   /// misses with software prefetch (FlowTable::find_batch), so each lookup
   /// is charged the cheaper batched cost. out[i] is nullptr for absent
   /// flows. `hashes[i]` must be hash_of(flow_ids[i]) — typically the
-  /// packets' memoized rx-descriptor hashes. Shared-locked cannot pipeline
-  /// across stripes and degrades to locked scalar lookups.
+  /// packets' memoized rx-descriptor hashes.
   void get_flows(std::span<const net::FiveTuple> flow_ids,
                  std::span<const FlowHash> hashes, std::span<const void*> out);
 
   /// Convenience overload that hashes the keys itself.
   void get_flows(std::span<const net::FiveTuple> flow_ids,
                  std::span<const void*> out);
-
-  /// Ablation knob (SprayerConfig::bulk_flow_lookup): when disabled,
-  /// get_flows degrades to the scalar per-lookup path with per-lookup costs.
-  void set_bulk_enabled(bool enabled) noexcept { bulk_enabled_ = enabled; }
-  [[nodiscard]] bool bulk_enabled() const noexcept { return bulk_enabled_; }
 
   /// Snapshot-consistent copy of a (possibly remote) flow entry.
   [[nodiscard]] bool read_flow(const net::FiveTuple& flow_id,
@@ -311,31 +226,11 @@ class FlowStateApi {
   }
   [[nodiscard]] bool read_flow(const net::FiveTuple& flow_id, FlowHash hash,
                                std::span<u8> out) {
-    switch (strat_.kind) {
-      case state::StateStrategyKind::kWritingPartition: {
-        const CoreId dest = designated_core(hash);
-        cycles_ += (dest == core_) ? costs_.flow_lookup_local
-                                   : costs_.flow_lookup_remote;
-        return tables_[dest]->read_consistent(flow_id, hash, out);
-      }
-      case state::StateStrategyKind::kReplication:
-        cycles_ += costs_.flow_lookup_local;
-        if (designated_core(hash) != core_) ++counters_.remote_reads_avoided;
-        return local().read_consistent(flow_id, hash, out);
-      case state::StateStrategyKind::kSharedLocked: {
-        cycles_ += costs_.flow_lookup_remote;
-        ++counters_.lock_acquisitions;
-        strat_.lock->lock_stripe(hash);
-        const bool ok = local().read_consistent(flow_id, hash, out);
-        strat_.lock->unlock_stripe(hash);
-        return ok;
-      }
-    }
-    return false;
+    return read_table(hash).read_consistent(flow_id, hash, out);
   }
 
-  /// This core's table: the owned shard (writing partition), the full
-  /// replica (replication), or the one shared table (shared-locked).
+  /// This core's table: the owned shard (writing partition) or the full
+  /// replica (replication).
   [[nodiscard]] FlowTable& local() noexcept { return *tables_[core_]; }
   [[nodiscard]] const FlowTable& table(CoreId c) const noexcept {
     return *tables_[c];
@@ -347,22 +242,14 @@ class FlowStateApi {
   [[nodiscard]] Time now() const noexcept { return now_; }
 
   /// One bounded increment of the idle-aging sweep over this core's local
-  /// table (the owned shard, the full replica, or the shared table — each
-  /// core keeps its own cursor). Scans up to `max_groups` tag groups,
-  /// collects entries for which `pred(key, entry, last_seen)` returns true
-  /// AND this core owns the flow's lifecycle events, then invokes
-  /// `on_expire(key, hash)` for each — after the scan, so the hook may
-  /// freely mutate the table (remove the flow, its NAT pair, ...). At most
-  /// kSweepCandidates expire per call; the rest are caught on the next
+  /// table (the owned shard or the full replica). Scans up to `max_groups`
+  /// tag groups, collects entries for which `pred(key, entry, last_seen)`
+  /// returns true AND this core owns the flow's lifecycle events, then
+  /// invokes `on_expire(key, hash)` for each — after the scan, so the hook
+  /// may freely mutate the table (remove the flow, its NAT pair, ...). At
+  /// most kSweepCandidates expire per call; the rest are caught on the next
   /// rotation.
   static constexpr u32 kSweepCandidates = 256;
-  /// Shared-locked scan gate: other cores mutate entry bytes outside any
-  /// lock (the strawman's torn-read contract), so the sweep only
-  /// dereferences entries that have been write-quiescent for this long.
-  /// Every write path touches the stamp first, and each core's per-tick
-  /// lock_all round (below) orders writes that old before this scan's
-  /// acquire — several housekeeping intervals with margin.
-  static constexpr Time kSharedSweepQuiescence = 40 * kMillisecond;
   template <typename Pred, typename Expire>
   SweepStats sweep_idle(u32 max_groups, Pred&& pred, Expire&& on_expire) {
     struct Candidate {
@@ -372,19 +259,10 @@ class FlowStateApi {
     std::array<Candidate, kSweepCandidates> cand;
     u32 n = 0;
     SweepStats st;
-    // Shared-locked: hold every stripe for the scan so slot/tag/key reads
-    // (and the predicate's pair probes) are ordered against structural
-    // writers; the other strategies scan their own table lock-free.
-    const bool shared = strat_.kind == state::StateStrategyKind::kSharedLocked;
-    if (shared) {
-      ++counters_.lock_acquisitions;
-      strat_.lock->lock_all();
-    }
     st.groups = local().sweep_groups(
         sweep_cursor_, max_groups,
         [&](const net::FiveTuple& key, void* entry, Time last_seen) {
           if (n >= cand.size()) return;
-          if (shared && last_seen + kSharedSweepQuiescence > now_) return;
           if (!pred(key, static_cast<const void*>(entry), last_seen)) return;
           // Hash only the expiry candidates (the Toeplitz LUT is too dear
           // to run per live slot), then gate on event ownership so tables
@@ -393,7 +271,6 @@ class FlowStateApi {
           if (!owns_flow_events(h)) return;
           cand[n++] = Candidate{key, h};
         });
-    if (shared) strat_.lock->unlock_all();
     for (u32 i = 0; i < n; ++i) on_expire(cand[i].key, cand[i].hash);
     st.expired = n;
     return st;
@@ -409,11 +286,23 @@ class FlowStateApi {
   }
 
  private:
-  [[nodiscard]] bool may_write_flow(FlowHash hash) const noexcept {
-    // Shared-locked has no write partition: flow events run wherever the
-    // packet arrived and the lock serializes structure.
-    return strat_.kind == state::StateStrategyKind::kSharedLocked ||
-           designated_core(hash) == core_;
+  [[nodiscard]] bool replicating() const noexcept {
+    return strat_.kind == state::StateStrategyKind::kReplication;
+  }
+
+  /// The table a read of `hash` is served from, charging its modeled cost:
+  /// the designated core's (writing partition) or the local replica
+  /// (replication).
+  [[nodiscard]] FlowTable& read_table(FlowHash hash) noexcept {
+    const CoreId dest = designated_core(hash);
+    if (replicating() || dest == core_) {
+      cycles_ += costs_.flow_lookup_local;
+      if (dest != core_) ++counters_.remote_reads_avoided;
+      return local();
+    }
+    cycles_ += costs_.flow_lookup_remote;
+    ++counters_.remote_reads;
+    return *tables_[dest];
   }
 
   /// Satellite of DESIGN.md §14: violations name the active strategy and
@@ -426,29 +315,6 @@ class FlowStateApi {
            " on core " + std::to_string(core_) + ", but core " +
            std::to_string(designated_core(hash)) +
            " is the designated core for " + flow_id.to_string();
-  }
-
-  /// Shared-locked read: copy the entry into the scratch ring under the
-  /// key's stripe (pointer-stable against concurrent slot reuse; the copy
-  /// itself may still observe a torn in-place update, the same torn-read
-  /// contract find_remote documents).
-  [[nodiscard]] const void* locked_copy_out(const net::FiveTuple& flow_id,
-                                            FlowHash hash) {
-    ++counters_.lock_acquisitions;
-    strat_.lock->lock_stripe(hash);
-    const void* e = local().find_remote(flow_id, hash);
-    if (e != nullptr) {
-      // Touch the real entry (not the copy the caller sees) so the sweep on
-      // the designated core sees the activity.
-      FlowTable::touch_if_stale(e, now_, kTouchGranularity);
-      u8* slot = locked_scratch_.get() +
-                 static_cast<std::size_t>(scratch_next_) * scratch_entry_size_;
-      std::memcpy(slot, e, scratch_entry_size_);
-      scratch_next_ = (scratch_next_ + 1) % scratch_slots_;
-      e = slot;
-    }
-    strat_.lock->unlock_stripe(hash);
-    return e;
   }
 
   void count_read() noexcept {
@@ -466,13 +332,7 @@ class FlowStateApi {
   Time now_ = 0;
   u64 sweep_cursor_ = 0;
   bool in_conn_ = false;
-  bool bulk_enabled_ = true;
   state::CoreStateView strat_;
-  // Shared-locked copy-out ring (see locked_copy_out).
-  std::unique_ptr<u8[]> locked_scratch_;
-  u32 scratch_entry_size_ = 0;
-  u32 scratch_slots_ = 0;
-  u32 scratch_next_ = 0;
   FlowAccessStats access_;
   StrategyCounters counters_;
 };
@@ -484,8 +344,8 @@ class FlowStateApi {
 /// `target`. Routing NAT through this helper (instead of a hand-rolled
 /// predicate next to the PortPool) is what keeps "designated" from
 /// drifting between the state strategies and the port allocator — under
-/// replication and shared-locked, every replica/core must derive the same
-/// port for the same flow or state diverges. `pool` needs
+/// replication every replica must derive the same port for the same flow
+/// or state diverges. `pool` needs
 /// claim_matching(pred) (nf::PortPool's shape; templated so core/ does not
 /// depend on nf/).
 template <typename Pool>

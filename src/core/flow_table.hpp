@@ -207,9 +207,8 @@ class FlowTable {
   /// calling fn(key, entry, last_seen) for each occupied slot, and advance
   /// the cursor. Bounded work per call — a full rotation takes
   /// ceil(total_groups / max_groups) calls. The caller owns the cursor (one
-  /// per sweeping core). Tag loads are acquire atomics so a shared table may
-  /// be swept while other cores mutate it under their locks; a slot that
-  /// changes mid-scan is simply seen in one state or the other.
+  /// per sweeping core). Only the table's owner sweeps it, so the scan
+  /// races no writer.
   template <typename Fn>
   u32 sweep_groups(u64& cursor, u32 max_groups, Fn&& fn) {
     const u32 nsegs = num_segments_.load(std::memory_order_acquire);

@@ -180,7 +180,7 @@ SimMiddlebox::SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg,
 
   // Per-hop flow tables, built by the state strategy (each hop has its own
   // key space and entry size, so hops never share tables; the strategy
-  // decides shard vs replica vs one shared table).
+  // decides shard vs replica).
   strategy_ = state::StateStrategy::make(cfg_.state, cfg_.num_cores);
   table_ptrs_.resize(hops);
   for (u32 h = 0; h < hops; ++h) {
@@ -193,8 +193,7 @@ SimMiddlebox::SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg,
     const auto span = strategy_->hop_tables(h);
     table_ptrs_[h].assign(span.begin(), span.end());
     if (!hop_init_[h].stateless && cfg_.lifecycle.max_table_segments > 1) {
-      // Opt-in online growth (idempotent when the strategy aliases one
-      // shared table into every per-core slot).
+      // Opt-in online growth.
       for (FlowTable* t : table_ptrs_[h]) {
         t->set_growth(cfg_.lifecycle.max_table_segments);
       }
@@ -207,7 +206,6 @@ SimMiddlebox::SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg,
       contexts_[c].push_back(std::make_unique<NfContext>(
           static_cast<CoreId>(c),
           std::span<FlowTable* const>{table_ptrs_[h]}, picker_, cfg_.costs));
-      contexts_[c].back()->flows().set_bulk_enabled(cfg_.bulk_flow_lookup);
       contexts_[c].back()->configure_state(
           strategy_->view(static_cast<CoreId>(c), h));
       ctx_ptrs_[c].push_back(contexts_[c].back().get());
@@ -217,8 +215,6 @@ SimMiddlebox::SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg,
     cores_.push_back(std::make_unique<SimCore>(
         *this, static_cast<CoreId>(c),
         std::span<NfContext* const>{ctx_ptrs_[c]}, stateless_chain_));
-    cores_.back()->engine().set_conn_redirect(
-        strategy_->redirects_connection_packets());
     cores_.back()->engine().set_state_runtime(
         strategy_->sync_runtime(static_cast<CoreId>(c)));
   }
@@ -251,13 +247,7 @@ MiddleboxReport SimMiddlebox::report() const {
   }
   r.nic = nic_.counters();
   for (const auto& hop : table_ptrs_) {
-    const FlowTable* prev = nullptr;
-    for (const FlowTable* t : hop) {
-      // Shared-locked aliases one table into every core slot; count it once.
-      if (t == prev) continue;
-      prev = t;
-      r.flow_entries += t->size();
-    }
+    for (const FlowTable* t : hop) r.flow_entries += t->size();
   }
   r.flow_access = access_stats();
   return r;

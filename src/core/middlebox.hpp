@@ -57,7 +57,7 @@ class SimMiddlebox final : public nic::IRxListener {
   [[nodiscard]] DynamicChain& chain() noexcept { return chain_; }
   [[nodiscard]] u32 num_hops() const noexcept { return chain_.num_hops(); }
   /// Hop 0's flow table on `core` (the whole table for single-NF setups;
-  /// shape per the state strategy — shard, replica, or shared alias).
+  /// shape per the state strategy — shard or replica).
   [[nodiscard]] FlowTable& flow_table(CoreId core) noexcept {
     return *table_ptrs_[0][core];
   }

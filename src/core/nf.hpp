@@ -42,7 +42,7 @@ struct NfInitConfig {
   /// middlebox was built with (DESIGN.md §14). NFs rarely care — the
   /// FlowStateApi hides the difference — but ones with cross-flow invariants
   /// (NAT's port pool) may need to know their housekeeping runs against a
-  /// replicated or shared table.
+  /// replicated table.
   state::StateStrategyKind state_strategy = state::StateStrategyKind::kWritingPartition;
   /// Idle timeout for this NF's flow entries, driven by the lifecycle sweep
   /// (DESIGN.md §15): a flow whose last_seen stamp is at least this old is

@@ -212,8 +212,7 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
 
   // Per-hop flow tables, built by the state strategy (each hop keys by its
   // own tuple space and entry size, so hops never share a table; the
-  // strategy decides whether a hop gets per-core shards, per-core replicas,
-  // or one shared table).
+  // strategy decides whether a hop gets per-core shards or replicas).
   strategy_ = state::StateStrategy::make(cfg_.state, cfg_.num_cores);
   table_ptrs_.resize(hops);
   for (u32 h = 0; h < hops; ++h) {
@@ -226,8 +225,7 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
     const auto span = strategy_->hop_tables(h);
     table_ptrs_[h].assign(span.begin(), span.end());
     if (!hop_init_[h].stateless && cfg_.lifecycle.max_table_segments > 1) {
-      // Opt-in online growth (idempotent when the strategy aliases one
-      // shared table into every per-core slot).
+      // Opt-in online growth.
       for (FlowTable* t : table_ptrs_[h]) {
         t->set_growth(cfg_.lifecycle.max_table_segments);
       }
@@ -240,7 +238,6 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
       contexts_[c].push_back(std::make_unique<NfContext>(
           static_cast<CoreId>(c),
           std::span<FlowTable* const>{table_ptrs_[h]}, picker_, cfg_.costs));
-      contexts_[c].back()->flows().set_bulk_enabled(cfg_.bulk_flow_lookup);
       contexts_[c].back()->configure_state(
           strategy_->view(static_cast<CoreId>(c), h));
       ctx_ptrs_[c].push_back(contexts_[c].back().get());
@@ -266,58 +263,44 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
     if (live_ != nullptr) {
       engines_.back()->set_flow_recorder(recorders_[c].get());
     }
-    engines_.back()->set_conn_redirect(
-        strategy_->redirects_connection_packets());
     engines_.back()->set_state_runtime(
         strategy_->sync_runtime(static_cast<CoreId>(c)));
     rx_rings_.push_back(std::make_unique<Ring>(cfg_.rx_ring_capacity));
   }
   if (cfg_.telemetry &&
-      cfg_.state.kind != state::StateStrategyKind::kWritingPartition) {
+      cfg_.state.kind == state::StateStrategyKind::kReplication) {
     // fn gauges may be registered after finalize(); the cells they read are
     // single-writer relaxed counters, safe to sample while workers run.
-    if (cfg_.state.kind == state::StateStrategyKind::kReplication) {
-      registry_.gauge_fn("state.sync.frames_sent", [this] {
-        return strategy_->sync_stats().frames_sent;
-      });
-      registry_.gauge_fn("state.sync.bytes_sent", [this] {
-        return strategy_->sync_stats().bytes_sent;
-      });
-      registry_.gauge_fn("state.sync.ops_sent", [this] {
-        return strategy_->sync_stats().ops_sent;
-      });
-      registry_.gauge_fn("state.sync.ops_applied", [this] {
-        return strategy_->sync_stats().ops_applied;
-      });
-      registry_.gauge_fn("state.sync.apply_failures", [this] {
-        return strategy_->sync_stats().apply_failures;
-      });
-      registry_.gauge_fn("state.sync.alloc_stalls", [this] {
-        return strategy_->sync_stats().alloc_stalls;
-      });
-      registry_.gauge_fn("state.divergence.mismatches", [this] {
-        return strategy_->divergence_mismatches();
-      });
-      registry_.gauge_fn("state.remote_reads_avoided", [this] {
-        u64 n = 0;
-        for (const auto& core_ctxs : contexts_) {
-          for (const auto& ctx : core_ctxs) {
-            n += ctx->flows().strategy_counters().remote_reads_avoided;
-          }
+    registry_.gauge_fn("state.sync.frames_sent", [this] {
+      return strategy_->sync_stats().frames_sent;
+    });
+    registry_.gauge_fn("state.sync.bytes_sent", [this] {
+      return strategy_->sync_stats().bytes_sent;
+    });
+    registry_.gauge_fn("state.sync.ops_sent", [this] {
+      return strategy_->sync_stats().ops_sent;
+    });
+    registry_.gauge_fn("state.sync.ops_applied", [this] {
+      return strategy_->sync_stats().ops_applied;
+    });
+    registry_.gauge_fn("state.sync.apply_failures", [this] {
+      return strategy_->sync_stats().apply_failures;
+    });
+    registry_.gauge_fn("state.sync.alloc_stalls", [this] {
+      return strategy_->sync_stats().alloc_stalls;
+    });
+    registry_.gauge_fn("state.divergence.mismatches", [this] {
+      return strategy_->divergence_mismatches();
+    });
+    registry_.gauge_fn("state.remote_reads_avoided", [this] {
+      u64 n = 0;
+      for (const auto& core_ctxs : contexts_) {
+        for (const auto& ctx : core_ctxs) {
+          n += ctx->flows().strategy_counters().remote_reads_avoided;
         }
-        return n;
-      });
-    } else {
-      registry_.gauge_fn("state.lock_acquisitions", [this] {
-        u64 n = 0;
-        for (const auto& core_ctxs : contexts_) {
-          for (const auto& ctx : core_ctxs) {
-            n += ctx->flows().strategy_counters().lock_acquisitions;
-          }
-        }
-        return n;
-      });
-    }
+      }
+      return n;
+    });
   }
   if (adaptive_ != nullptr && cfg_.adaptive.p2c) {
     depth_probe_ = std::make_unique<RxDepthProbe>(*this);
@@ -523,35 +506,51 @@ u32 ThreadedMiddlebox::inject_bulk(std::span<net::Packet* const> pkts) {
 }
 
 bool ThreadedMiddlebox::worker_body(CoreId core) {
-  busy_workers_.fetch_add(1, std::memory_order_acq_rel);
-  runtime::PacketBatch batch;
-  bool did_work = false;
   WorkerState& state = worker_state_[core];
   const u32 n_cores = cfg_.num_cores;
   // The clock is read at most once per iteration — and not at all on idle
   // iterations when housekeeping is disabled.
   Time now = 0;
-
+  bool housekeeping_due = false;
   if (cfg_.housekeeping_interval > 0) {
     now = steady_now();
-    if (now - state.last_housekeeping >= cfg_.housekeeping_interval) {
-      state.last_housekeeping = now;
-      // Housekeeping bumps NF registry counters (e.g. NAT expiry) — it
-      // needs the same update window as packet processing or a
-      // consistent=true snapshot can observe the burst half-applied.
-      registry_.begin_update(core);
-      chain_.housekeeping(ctx_ptrs_[core], now);
-      // Replication: housekeeping expiries (NAT TIME_WAIT removes) sit in
-      // the op log until a packet would flush them — broadcast them now.
-      engines_[core]->flush_state_sync();
-      registry_.end_update(core);
-      for (NfContext* ctx : ctx_ptrs_[core]) {
-        engines_[core]->stats().busy_cycles += ctx->drain_consumed();
-      }
-      // Halve this core's heavy-hitter sketch so it tracks a decayed rate
-      // (worker-owned: the sketch is single-writer per core).
-      if (adaptive_ != nullptr) adaptive_->sketch(core).decay();
+    housekeeping_due =
+        now - state.last_housekeeping >= cfg_.housekeeping_interval;
+  }
+
+  // Idle fast path, before busy_workers_ is touched: wait_idle() relies on
+  // a packet always being either in a ring or held by a worker counted in
+  // busy_workers_. The counter is raised below before any pop, and only
+  // this worker pops its rings, so an iteration that sees all of them
+  // empty holds nothing and need not be counted. A parked backlog still
+  // needs its retry, so it takes the full path. Staging is empty between
+  // iterations because process_rx() flushes at batch end.
+  if (!housekeeping_due && engines_[core]->pending_transfers() == 0 &&
+      inputs_empty(core)) {
+    SPRAYER_CHECK(!engines_[core]->transfers_staged());
+    return false;
+  }
+
+  busy_workers_.fetch_add(1, std::memory_order_acq_rel);
+  runtime::PacketBatch batch;
+  bool did_work = false;
+  if (housekeeping_due) {
+    state.last_housekeeping = now;
+    // Housekeeping bumps NF registry counters (e.g. NAT expiry) — it
+    // needs the same update window as packet processing or a
+    // consistent=true snapshot can observe the burst half-applied.
+    registry_.begin_update(core);
+    chain_.housekeeping(ctx_ptrs_[core], now);
+    // Replication: housekeeping expiries (NAT TIME_WAIT removes) sit in
+    // the op log until a packet would flush them — broadcast them now.
+    engines_[core]->flush_state_sync();
+    registry_.end_update(core);
+    for (NfContext* ctx : ctx_ptrs_[core]) {
+      engines_[core]->stats().busy_cycles += ctx->drain_consumed();
     }
+    // Halve this core's heavy-hitter sketch so it tracks a decayed rate
+    // (worker-owned: the sketch is single-writer per core).
+    if (adaptive_ != nullptr) adaptive_->sketch(core).decay();
   }
 
   // Foreign rings first (bounds connection-packet latency). Rotate the scan
@@ -624,6 +623,14 @@ bool ThreadedMiddlebox::worker_body(CoreId core) {
   }
   busy_workers_.fetch_sub(1, std::memory_order_acq_rel);
   return did_work;
+}
+
+bool ThreadedMiddlebox::inputs_empty(CoreId core) const noexcept {
+  if (!rx_rings_[core]->empty_approx()) return false;
+  for (u32 src = 0; src < cfg_.num_cores; ++src) {
+    if (src != core && !mesh_[src][core]->empty_approx()) return false;
+  }
+  return true;
 }
 
 void ThreadedMiddlebox::wait_idle() const {

@@ -16,9 +16,10 @@
 //     call per verdict batch — on worker threads (it must be thread-safe;
 //     returning packets to their PacketPool is).
 //
-// Flow tables are the same seqlock-protected FlowTable: the writing
-// partition guarantees a single writer per entry, so cross-core reads need
-// no locks (§3.2).
+// Flow tables are the same seqlock-protected FlowTable: both state
+// strategies (DESIGN.md §14) send every flow event to the flow's designated
+// core, so each entry has a single writer and cross-core reads need no
+// locks (§3.2).
 #pragma once
 
 #include <atomic>
@@ -98,8 +99,7 @@ class ThreadedMiddlebox {
   [[nodiscard]] DynamicChain& chain() noexcept { return chain_; }
   [[nodiscard]] u32 num_hops() const noexcept { return chain_.num_hops(); }
   /// Hop 0's flow table on `core`: the core's owned shard under writing
-  /// partition, its full replica under replication, the one shared table
-  /// (whatever `core`) under shared-locked.
+  /// partition, its full replica under replication.
   [[nodiscard]] FlowTable& flow_table(CoreId core) noexcept {
     return *table_ptrs_[0][core];
   }
@@ -258,6 +258,8 @@ class ThreadedMiddlebox {
 
   /// One worker iteration; returns true if any work was done.
   bool worker_body(CoreId core);
+  /// True when `core`'s rx ring and every mesh ring into it read empty.
+  [[nodiscard]] bool inputs_empty(CoreId core) const noexcept;
 
   /// kBlock admission of one packet: spins (yielding periodically) until
   /// the ring has room; accumulates spin iterations into `spins`.

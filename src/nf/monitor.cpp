@@ -1,5 +1,7 @@
 #include "nf/monitor.hpp"
 
+#include <atomic>
+
 #include "hash/designated.hpp"
 
 namespace sprayer::nf {
@@ -41,8 +43,10 @@ void MonitorNf::connection_packets(runtime::PacketBatch& batch,
       if (e == nullptr) {
         m_table_full_.add(core);
       } else if (!e->valid) {
-        e->valid = 1;
+        // insert_local_flow already made the slot findable: sprayed cores
+        // may read `valid` now, so it is published last, with release.
         e->first_seen = ctx.now();
+        std::atomic_ref<u8>(e->valid).store(1, std::memory_order_release);
         m_opened_.add(core);
       }
     } else if (tcp.has(net::TcpFlags::kRst)) {
@@ -86,8 +90,11 @@ void MonitorNf::regular_packets(runtime::PacketBatch& batch,
                         {entries.data(), n});
   u64 tracked = 0;
   for (u32 j = 0; j < n; ++j) {
-    const auto* e = static_cast<const Entry*>(entries[j]);
-    if (e != nullptr && e->valid) ++tracked;
+    auto* e = static_cast<Entry*>(const_cast<void*>(entries[j]));
+    if (e != nullptr &&
+        std::atomic_ref<u8>(e->valid).load(std::memory_order_acquire) != 0) {
+      ++tracked;
+    }
   }
   if (tracked > 0) m_tracked_.add(ctx.core(), tracked);
 }

@@ -83,7 +83,7 @@ class MonitorNf final : public core::INetworkFunction {
  private:
   struct Entry {
     Time first_seen = 0;
-    u8 valid = 0;
+    u8 valid = 0;  // atomic_ref: release store on open, acquire on read
     /// Per-direction FIN bits (bit 0: packet traveled in the canonical
     /// direction, bit 1: reverse) — a retransmitted FIN from one side sets
     /// the same bit again instead of double-counting toward teardown.

@@ -55,12 +55,8 @@ NatNf::Entry* NatNf::open_session(const net::FiveTuple& tuple,
                                   core::NfContext& ctx) {
   auto& flows = ctx.flows();
   // Pick an external port whose return flow maps back to the forward
-  // flow's *designated* core (one shared claim rule — see
-  // claim_port_for_designated). Under writing partition and replication
-  // this handler already runs there, so the target equals ctx.core(); under
-  // shared-locked it runs on the arrival core, and anchoring the claim to
-  // the designated core keeps the chosen port — and hence every translated
-  // byte — identical across strategies.
+  // flow's designated core — the core this handler runs on under both
+  // strategies (one shared claim rule — see claim_port_for_designated).
   net::FiveTuple probe = tuple;
   probe.src_ip = cfg_.external_ip;
   const u16 port = core::claim_port_for_designated(

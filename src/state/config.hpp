@@ -9,9 +9,9 @@
 //     every core holds a full replica; the designated core sequences flow
 //     events and broadcasts the resulting state deltas over the existing
 //     mesh rings, so the regular path reads purely local state.
-//   * kSharedLocked    — one shared table behind a striped lock, flow
-//     events processed wherever they arrive: the naive baseline the paper
-//     argues against, kept honest and raced in bench/state_strategy.
+//
+// Both send every flow event to the flow's designated core, so each flow
+// has exactly one writer.
 //
 // Kept free of heavyweight includes so core/config.hpp can embed it.
 #pragma once
@@ -23,7 +23,6 @@ namespace sprayer::state {
 enum class StateStrategyKind : u8 {
   kWritingPartition,
   kReplication,
-  kSharedLocked,
 };
 
 [[nodiscard]] constexpr const char* to_string(StateStrategyKind k) noexcept {
@@ -32,18 +31,12 @@ enum class StateStrategyKind : u8 {
       return "writing_partition";
     case StateStrategyKind::kReplication:
       return "replication";
-    case StateStrategyKind::kSharedLocked:
-      return "shared_locked";
   }
   return "unknown";
 }
 
 struct StateStrategyConfig {
   StateStrategyKind kind = StateStrategyKind::kWritingPartition;
-  /// Shared-locked: reader stripes (power of two, at most 64). Structural
-  /// writes take every stripe; readers take one, so stripes bound reader
-  /// convoying, not writer cost.
-  u32 lock_stripes = 64;
   /// Replication: max payload bytes per state-sync frame (clamped to the
   /// packet pool's buffer size at broadcast time).
   u32 sync_frame_bytes = 192;

@@ -21,23 +21,6 @@ class WritingPartitionStrategy final : public StateStrategy {
   [[nodiscard]] StateStrategyKind kind() const noexcept override {
     return StateStrategyKind::kWritingPartition;
   }
-  [[nodiscard]] u32 num_hops() const noexcept override {
-    return static_cast<u32>(tables_.size());
-  }
-
-  void add_hop(u32 capacity, u32 entry_size) override {
-    auto& owned = tables_.emplace_back();
-    auto& ptrs = ptrs_.emplace_back();
-    for (CoreId c = 0; c < num_cores_; ++c) {
-      owned.push_back(std::make_unique<FlowTable>(capacity, entry_size, c));
-      ptrs.push_back(owned.back().get());
-    }
-  }
-
-  [[nodiscard]] std::span<FlowTable* const> hop_tables(
-      u32 hop) noexcept override {
-    return ptrs_[hop];
-  }
 
   [[nodiscard]] CoreStateView view(CoreId core, u32 hop) noexcept override {
     (void)core;
@@ -46,10 +29,6 @@ class WritingPartitionStrategy final : public StateStrategy {
     v.hop = static_cast<u8>(hop);
     return v;
   }
-
- private:
-  std::vector<std::vector<std::unique_ptr<FlowTable>>> tables_;  // [hop][core]
-  std::vector<std::vector<FlowTable*>> ptrs_;
 };
 
 // ---------------------------------------------------------------------------
@@ -62,25 +41,6 @@ class ReplicationStrategy final : public StateStrategy {
 
   [[nodiscard]] StateStrategyKind kind() const noexcept override {
     return StateStrategyKind::kReplication;
-  }
-  [[nodiscard]] u32 num_hops() const noexcept override {
-    return static_cast<u32>(tables_.size());
-  }
-
-  void add_hop(u32 capacity, u32 entry_size) override {
-    // Every replica holds the whole flow space, not just a 1/N shard.
-    const u32 scaled = capacity * std::bit_ceil(num_cores_);
-    auto& owned = tables_.emplace_back();
-    auto& ptrs = ptrs_.emplace_back();
-    for (CoreId c = 0; c < num_cores_; ++c) {
-      owned.push_back(std::make_unique<FlowTable>(scaled, entry_size, c));
-      ptrs.push_back(owned.back().get());
-    }
-  }
-
-  [[nodiscard]] std::span<FlowTable* const> hop_tables(
-      u32 hop) noexcept override {
-    return ptrs_[hop];
   }
 
   [[nodiscard]] CoreStateView view(CoreId core, u32 hop) noexcept override {
@@ -153,64 +113,23 @@ class ReplicationStrategy final : public StateStrategy {
     return runtimes_[core].get();
   }
 
-  std::vector<std::vector<std::unique_ptr<FlowTable>>> tables_;  // [hop][core]
-  std::vector<std::vector<FlowTable*>> ptrs_;
   std::vector<std::unique_ptr<SyncRuntime>> runtimes_;  // [core]
 };
 
-// ---------------------------------------------------------------------------
-// Shared-locked baseline
-// ---------------------------------------------------------------------------
-
-class SharedLockedStrategy final : public StateStrategy {
- public:
-  SharedLockedStrategy(u32 num_cores, u32 stripes)
-      : StateStrategy(num_cores), stripes_(stripes) {}
-
-  [[nodiscard]] StateStrategyKind kind() const noexcept override {
-    return StateStrategyKind::kSharedLocked;
-  }
-  [[nodiscard]] u32 num_hops() const noexcept override {
-    return static_cast<u32>(tables_.size());
-  }
-
-  void add_hop(u32 capacity, u32 entry_size) override {
-    // One table for the whole flow space, aliased into every core slot so
-    // FlowStateApi::local() lands on it regardless of core.
-    const u32 scaled = capacity * std::bit_ceil(num_cores_);
-    tables_.push_back(
-        std::make_unique<FlowTable>(scaled, entry_size, /*owner=*/0));
-    locks_.push_back(std::make_unique<StripedLock>(stripes_));
-    auto& ptrs = ptrs_.emplace_back();
-    ptrs.assign(num_cores_, tables_.back().get());
-  }
-
-  [[nodiscard]] std::span<FlowTable* const> hop_tables(
-      u32 hop) noexcept override {
-    return ptrs_[hop];
-  }
-
-  [[nodiscard]] CoreStateView view(CoreId core, u32 hop) noexcept override {
-    (void)core;
-    CoreStateView v;
-    v.kind = StateStrategyKind::kSharedLocked;
-    v.lock = locks_[hop].get();
-    v.hop = static_cast<u8>(hop);
-    return v;
-  }
-
-  [[nodiscard]] bool redirects_connection_packets() const noexcept override {
-    return false;
-  }
-
- private:
-  u32 stripes_;
-  std::vector<std::unique_ptr<FlowTable>> tables_;  // [hop]
-  std::vector<std::unique_ptr<StripedLock>> locks_;
-  std::vector<std::vector<FlowTable*>> ptrs_;  // [hop][core], all aliases
-};
-
 }  // namespace
+
+void StateStrategy::add_hop(u32 capacity, u32 entry_size) {
+  // A replica holds the whole flow space, not just a 1/N shard.
+  if (kind() == StateStrategyKind::kReplication) {
+    capacity *= std::bit_ceil(num_cores_);
+  }
+  auto& owned = tables_.emplace_back();
+  auto& ptrs = ptrs_.emplace_back();
+  for (CoreId c = 0; c < num_cores_; ++c) {
+    owned.push_back(std::make_unique<FlowTable>(capacity, entry_size, c));
+    ptrs.push_back(owned.back().get());
+  }
+}
 
 std::unique_ptr<StateStrategy> StateStrategy::make(
     const StateStrategyConfig& cfg, u32 num_cores) {
@@ -219,9 +138,6 @@ std::unique_ptr<StateStrategy> StateStrategy::make(
       return std::make_unique<WritingPartitionStrategy>(num_cores);
     case StateStrategyKind::kReplication:
       return std::make_unique<ReplicationStrategy>(num_cores);
-    case StateStrategyKind::kSharedLocked:
-      return std::make_unique<SharedLockedStrategy>(num_cores,
-                                                    cfg.lock_stripes);
   }
   SPRAYER_CHECK_MSG(false, "unknown state strategy kind");
   return nullptr;

@@ -1,21 +1,18 @@
 // Pluggable flow-state strategies (DESIGN.md §14).
 //
-// The StateStrategy object is the control plane: it owns the flow tables in
-// whatever topology its strategy needs, hands per-(core, hop) views to
-// FlowStateApi (state/view.hpp — the non-virtual data plane), and exposes
-// the audit/telemetry surface the executors wire up. One strategy instance
-// serves one middlebox (all hops, all cores).
+// The StateStrategy object is the control plane: it owns the flow tables,
+// hands per-(core, hop) views to FlowStateApi (state/view.hpp — the
+// non-virtual data plane), and exposes the audit/telemetry surface the
+// executors wire up. One strategy instance serves one middlebox (all hops,
+// all cores).
 //
-// Table topology by strategy, for an NF that asked for per-core capacity C
-// on N cores:
-//   writing-partition — N tables of C, table[c] owned and written by core c
-//                       (the paper's layout, byte-for-byte);
-//   replication       — N replicas of C*bit_ceil(N) each (every replica
-//                       holds the whole flow space), table[c] written only
-//                       by core c: NF handlers on the sequencer, sync-frame
-//                       replay everywhere else — still single-writer;
-//   shared-locked     — ONE table of C*bit_ceil(N), aliased into every
-//                       per-core slot, guarded by a StripedLock.
+// Both strategies keep one table per (hop, core), written only by core c.
+// For an NF that asked for per-core capacity C on N cores:
+//   writing-partition — each table holds C: core c's shard of the flows it
+//                       is designated for (the paper's layout);
+//   replication       — each table holds C*bit_ceil(N): a full replica,
+//                       written by NF handlers for the flows core c
+//                       sequences and by sync-frame replay for the rest.
 #pragma once
 
 #include <memory>
@@ -29,8 +26,8 @@
 
 namespace sprayer::state {
 
-/// Replica-equality audit result (replication only; other strategies report
-/// all-zero). Quiescent callers only: tables are walked unlocked.
+/// Replica-equality audit result (replication only; writing partition
+/// reports all-zero). Quiescent callers only: tables are walked unlocked.
 struct DivergenceReport {
   u64 entries_compared = 0;
   u64 mismatched_entries = 0;  // present on both sides, different bytes
@@ -69,18 +66,21 @@ class StateStrategy {
   [[nodiscard]] virtual StateStrategyKind kind() const noexcept = 0;
   [[nodiscard]] const char* name() const noexcept { return to_string(kind()); }
   [[nodiscard]] u32 num_cores() const noexcept { return num_cores_; }
-  [[nodiscard]] virtual u32 num_hops() const noexcept = 0;
+  [[nodiscard]] u32 num_hops() const noexcept {
+    return static_cast<u32>(ptrs_.size());
+  }
 
   /// Declare the next chain hop (call once per hop, in hop order, before
   /// any view/table accessor). `capacity` is the per-designated-core
-  /// capacity the NF asked for; strategies scale it as their topology
-  /// requires. Stateless hops pass a minimal capacity like the executors
-  /// always have.
-  virtual void add_hop(u32 capacity, u32 entry_size) = 0;
+  /// capacity the NF asked for; replication scales it so each replica
+  /// holds the whole flow space. Stateless hops pass a minimal capacity
+  /// like the executors always have.
+  void add_hop(u32 capacity, u32 entry_size);
 
-  /// One FlowTable* per core for `hop` (entries alias for shared-locked).
-  [[nodiscard]] virtual std::span<FlowTable* const> hop_tables(
-      u32 hop) noexcept = 0;
+  /// One FlowTable* per core for `hop`, table[c] owned by core c.
+  [[nodiscard]] std::span<FlowTable* const> hop_tables(u32 hop) noexcept {
+    return ptrs_[hop];
+  }
 
   /// Data-plane view for FlowStateApi of (core, hop).
   [[nodiscard]] virtual CoreStateView view(CoreId core, u32 hop) noexcept = 0;
@@ -89,12 +89,6 @@ class StateStrategy {
   [[nodiscard]] virtual SyncRuntime* sync_runtime(CoreId core) noexcept {
     (void)core;
     return nullptr;
-  }
-
-  /// False when connection packets should run on their arrival core
-  /// instead of redirecting to the designated core (shared-locked).
-  [[nodiscard]] virtual bool redirects_connection_packets() const noexcept {
-    return true;
   }
 
   /// Compare every replica against core 0's; counts land in the report and
@@ -116,6 +110,8 @@ class StateStrategy {
   explicit StateStrategy(u32 num_cores) : num_cores_(num_cores) {}
 
   u32 num_cores_;
+  std::vector<std::vector<std::unique_ptr<FlowTable>>> tables_;  // [hop][core]
+  std::vector<std::vector<FlowTable*>> ptrs_;
   RelaxedU64 divergence_checks_;
   RelaxedU64 divergence_mismatches_;
 };

@@ -2,18 +2,13 @@
 //
 // The strategy object (state/strategy.hpp) is the control plane: it builds
 // table topologies and owns the pieces below. The data plane stays
-// non-virtual — FlowStateApi switches on CoreStateView::kind inline, so the
-// writing-partition hot path compiles to the same code it was before the
-// strategies existed (the parity requirement of the ablation).
+// non-virtual — FlowStateApi branches on CoreStateView::kind inline, so the
+// writing-partition hot path is the plain table access.
 #pragma once
 
-#include <atomic>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "common/check.hpp"
-#include "common/compiler.hpp"
 #include "common/types.hpp"
 #include "net/five_tuple.hpp"
 #include "state/config.hpp"
@@ -74,67 +69,15 @@ class ReplOpLog {
 };
 
 // ---------------------------------------------------------------------------
-// Shared-locked stripe set
-// ---------------------------------------------------------------------------
-
-/// The strawman's lock: readers take the key's stripe, structural writers
-/// (insert/remove) take every stripe in index order. That inversion keeps
-/// reads concurrent while making probe sequences safe against concurrent
-/// slot allocation — a probe can cross stripe boundaries, so per-stripe
-/// write locking would race two inserts into one free slot.
-class StripedLock {
- public:
-  static constexpr u32 kMaxStripes = 64;
-
-  explicit StripedLock(u32 stripes)
-      : count_(stripes), mask_(stripes - 1),
-        stripes_(std::make_unique<Stripe[]>(stripes)) {
-    SPRAYER_CHECK_MSG(stripes >= 1 && stripes <= kMaxStripes &&
-                          (stripes & (stripes - 1)) == 0,
-                      "lock_stripes must be a power of two in [1, 64]");
-  }
-
-  void lock_stripe(u32 hash) noexcept { acquire(hash & mask_); }
-  void unlock_stripe(u32 hash) noexcept { release(hash & mask_); }
-
-  void lock_all() noexcept {
-    for (u32 i = 0; i < count_; ++i) acquire(i);
-  }
-  void unlock_all() noexcept {
-    for (u32 i = count_; i-- > 0;) release(i);
-  }
-
- private:
-  struct alignas(kCacheLineSize) Stripe {
-    std::atomic_flag flag = ATOMIC_FLAG_INIT;
-  };
-
-  void acquire(u32 i) noexcept {
-    while (stripes_[i].flag.test_and_set(std::memory_order_acquire)) {
-      cpu_relax();
-    }
-  }
-  void release(u32 i) noexcept {
-    stripes_[i].flag.clear(std::memory_order_release);
-  }
-
-  u32 count_;
-  u32 mask_;
-  std::unique_ptr<Stripe[]> stripes_;
-};
-
-// ---------------------------------------------------------------------------
 // The per-(core, hop) view
 // ---------------------------------------------------------------------------
 
 /// What FlowStateApi needs from its strategy, by kind:
 ///   writing-partition — nothing (the default-constructed view);
-///   replication       — the core's shared op log plus this hop's id;
-///   shared-locked     — this hop's stripe set.
+///   replication       — the core's shared op log plus this hop's id.
 struct CoreStateView {
   StateStrategyKind kind = StateStrategyKind::kWritingPartition;
-  ReplOpLog* log = nullptr;     // replication only (per core, all hops)
-  StripedLock* lock = nullptr;  // shared-locked only (per hop, all cores)
+  ReplOpLog* log = nullptr;  // replication only (per core, all hops)
   u8 hop = 0;
 };
 

@@ -316,7 +316,7 @@ void settle(ThreadedMiddlebox& mbox, u32 millis = 25) {
 }
 
 /// Live flow entries, respecting the strategy's table layout (count the
-/// shared/replica table once).
+/// replica table once).
 u64 live_entries(ThreadedMiddlebox& mbox,
                  state::StateStrategyKind kind) {
   if (kind == state::StateStrategyKind::kWritingPartition) {
@@ -339,12 +339,6 @@ SprayerConfig lifecycle_cfg(state::StateStrategyKind kind, Time idle) {
   cfg.lifecycle.idle_timeout = idle;
   return cfg;
 }
-
-constexpr state::StateStrategyKind kAllKinds[] = {
-    state::StateStrategyKind::kWritingPartition,
-    state::StateStrategyKind::kReplication,
-    state::StateStrategyKind::kSharedLocked,
-};
 
 // --- teardown: FIN handshake leaves zero state, under every strategy --------
 
@@ -384,9 +378,6 @@ TEST(FinTeardown, WritingPartition) {
 }
 TEST(FinTeardown, Replication) {
   fin_teardown_under(state::StateStrategyKind::kReplication);
-}
-TEST(FinTeardown, SharedLocked) {
-  fin_teardown_under(state::StateStrategyKind::kSharedLocked);
 }
 
 // --- the double-FIN bug: retransmitted FINs must not close ------------------
@@ -504,9 +495,6 @@ TEST(IdleAging, NatReleasesPortsWritingPartition) {
 }
 TEST(IdleAging, NatReleasesPortsReplication) {
   nat_idle_aging_under(state::StateStrategyKind::kReplication);
-}
-TEST(IdleAging, NatReleasesPortsSharedLocked) {
-  nat_idle_aging_under(state::StateStrategyKind::kSharedLocked);
 }
 
 TEST(IdleAging, ActiveTrafficKeepsSessionsAlive) {

@@ -1,10 +1,9 @@
 // Pluggable state strategies (DESIGN.md §14): unit coverage for the
-// replication op log / sync frames / striped lock, strategy table
-// topologies, divergence auditing, the strategy-aware violation messages —
-// and the cross-strategy equivalence suite: the same trace driven through
-// writing partition, state-compute replication, and the shared-locked
-// baseline must produce byte-identical NF output and identical end state
-// (modulo replica layout and masked timestamps).
+// replication op log / sync frames, strategy table topologies, divergence
+// auditing, the strategy-aware violation messages — and the cross-strategy
+// equivalence suite: the same trace driven through writing partition and
+// state-compute replication must produce byte-identical NF output and
+// identical end state (modulo replica layout and masked timestamps).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,7 +38,6 @@ constexpr u32 kCores = 4;
 constexpr state::StateStrategyKind kAllKinds[] = {
     state::StateStrategyKind::kWritingPartition,
     state::StateStrategyKind::kReplication,
-    state::StateStrategyKind::kSharedLocked,
 };
 
 // --- unit: replication op log ----------------------------------------------
@@ -77,39 +75,6 @@ TEST(ReplOpLog, RemoveThenReinsertKeepsBothOps) {
   log.clear();
   EXPECT_TRUE(log.empty());
   EXPECT_EQ(log.logged(), 3u);  // lifetime count survives clear()
-}
-
-// --- unit: striped lock -----------------------------------------------------
-
-TEST(StripedLock, WritersExcludeEachOtherAndReaders) {
-  state::StripedLock lock(8);
-  u64 counter = 0;  // deliberately non-atomic: the lock is the protection
-  constexpr u64 kPerThread = 20000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&lock, &counter, t] {
-      for (u64 i = 0; i < kPerThread; ++i) {
-        if (t % 2 == 0) {
-          lock.lock_all();
-          ++counter;
-          lock.unlock_all();
-        } else {
-          // Stripe 3 arbitrarily: a stripe holder must also exclude
-          // lock_all holders.
-          lock.lock_stripe(3);
-          ++counter;
-          lock.unlock_stripe(3);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(counter, 4 * kPerThread);
-}
-
-TEST(StripedLock, RejectsBadStripeCounts) {
-  EXPECT_THROW(state::StripedLock(3), std::logic_error);    // not a power of 2
-  EXPECT_THROW(state::StripedLock(128), std::logic_error);  // > kMaxStripes
 }
 
 // --- unit: sync frame round trip -------------------------------------------
@@ -227,15 +192,6 @@ TEST(StateStrategy, TableTopologiesMatchTheirContract) {
           }
           EXPECT_NE(strat->sync_runtime(static_cast<CoreId>(c)), nullptr);
         }
-        EXPECT_TRUE(strat->redirects_connection_packets());
-        break;
-      case state::StateStrategyKind::kSharedLocked:
-        // One scaled table aliased into every slot; conn packets stay on
-        // their arrival core.
-        for (u32 c = 1; c < kCores; ++c) EXPECT_EQ(tables[c], tables[0]);
-        EXPECT_EQ(tables[0]->capacity(), (1u << 10) * kCores);
-        EXPECT_FALSE(strat->redirects_connection_packets());
-        EXPECT_EQ(strat->sync_runtime(0), nullptr);
         break;
     }
   }
@@ -355,9 +311,8 @@ void mask_leading_time(std::vector<u8>& bytes) {
 using EndState = std::map<std::string, std::vector<u8>>;
 
 /// The end state, collected per the strategy's layout: union of the per-core
-/// shards (writing partition — each flow lives on exactly one), core 0's
-/// replica (replication — every replica holds the whole space), or the one
-/// shared table (shared-locked).
+/// shards (writing partition — each flow lives on exactly one) or core 0's
+/// replica (replication — every replica holds the whole space).
 EndState collect_state(ThreadedMiddlebox& mbox, EntryMask mask) {
   EndState out;
   auto grab = [&](FlowTable& t) {
@@ -384,7 +339,7 @@ struct RunResult {
 
 template <typename MakeNf, typename Drive>
 RunResult run_strategy(state::StateStrategyKind kind, MakeNf make_nf,
-                       Drive drive, EntryMask mask, Time housekeeping) {
+                       Drive drive, EntryMask mask) {
   net::PacketPool pool(16384, 256);
   auto nf = make_nf();  // fresh NF per run: port pools / cursors reset
   RunResult r;
@@ -402,7 +357,6 @@ RunResult run_strategy(state::StateStrategyKind kind, MakeNf make_nf,
   cfg.num_cores = kCores;
   cfg.mode = DispatchMode::kSpray;
   cfg.overload_policy = OverloadPolicy::kBlock;
-  cfg.housekeeping_interval = housekeeping;
   cfg.state.kind = kind;
   ThreadedMiddlebox mbox(cfg, *nf, std::move(sink));
   mbox.start();
@@ -427,17 +381,10 @@ RunResult run_strategy(state::StateStrategyKind kind, MakeNf make_nf,
 }
 
 template <typename MakeNf, typename Drive>
-void expect_equivalent(MakeNf make_nf, Drive drive, EntryMask mask,
-                       bool nat_housekeeping_off = false) {
+void expect_equivalent(MakeNf make_nf, Drive drive, EntryMask mask) {
   RunResult base;
   for (const auto kind : kAllKinds) {
-    // NAT's housekeeping sweep iterates the table; the shared-locked
-    // strawman cannot do that safely while other cores insert (its
-    // documented unsoundness), so NAT runs disable the periodic sweep for
-    // every strategy to keep the traces comparable (time_wait=0 NATs never
-    // accumulate TIME_WAIT state anyway).
-    const Time housekeeping = nat_housekeeping_off ? 0 : 10 * kMillisecond;
-    RunResult r = run_strategy(kind, make_nf, drive, mask, housekeeping);
+    RunResult r = run_strategy(kind, make_nf, drive, mask);
     if (kind == kAllKinds[0]) {
       base = std::move(r);
       EXPECT_FALSE(base.frames.empty());
@@ -482,7 +429,7 @@ TEST(StateStrategyEquivalence, NatTranslationByteIdentical) {
       must_inject(mbox, pool, flows[i], net::TcpFlags::kRst, 2);
     }
   };
-  expect_equivalent(make_nf, drive, nullptr, /*nat_housekeeping_off=*/true);
+  expect_equivalent(make_nf, drive, nullptr);
 }
 
 TEST(StateStrategyEquivalence, MonitorTrackingByteIdentical) {
@@ -581,10 +528,6 @@ void churn_under(state::StateStrategyKind kind) {
   cfg.num_cores = kCores;
   cfg.mode = DispatchMode::kSpray;
   cfg.overload_policy = OverloadPolicy::kBlock;
-  // NAT housekeeping iterates the table; under shared-locked that cannot
-  // run concurrently with inserts (strawman unsoundness), and with
-  // time_wait=0 it would find nothing anyway.
-  cfg.housekeeping_interval = 0;
   cfg.state.kind = kind;
   ThreadedMiddlebox mbox(cfg, nat, std::move(handler));
   mbox.start();
@@ -636,10 +579,6 @@ TEST(StateStrategyChurn, WritingPartition) {
 
 TEST(StateStrategyChurn, Replication) {
   churn_under(state::StateStrategyKind::kReplication);
-}
-
-TEST(StateStrategyChurn, SharedLocked) {
-  churn_under(state::StateStrategyKind::kSharedLocked);
 }
 
 }  // namespace

@@ -12,11 +12,7 @@ not here — CI runners are too noisy for cross-record pps gates):
 
   * the telemetry is strategy-exclusive: writing partition is the only
     strategy with remote reads, replication the only one with avoided
-    remote reads, shared-locked the only one taking locks;
-  * shared-locked never redirects connection packets (transferred_out and
-    foreign_in must be zero) and must have taken at least one lock on any
-    run that forwarded traffic; the other strategies process a conn packet
-    locally only when it arrived on the designated core;
+    remote reads;
   * replication must broadcast (frames_sent > 0 on any run that forwarded
     traffic), every broadcast frame must be applied by its destination
     replica (frames_applied == frames_sent at quiescence — frames are
@@ -60,7 +56,6 @@ ACCESS_FIELDS = {
 STATE_FIELDS = {
     "remote_reads": int,
     "remote_reads_avoided": int,
-    "lock_acquisitions": int,
 }
 SYNC_FIELDS = {
     "frames_sent": int,
@@ -78,7 +73,7 @@ DIVERGENCE_FIELDS = {
     "extra": int,
     "clean": bool,
 }
-STRATEGIES = ("writing_partition", "replication", "shared_locked")
+STRATEGIES = ("writing_partition", "replication")
 WORKLOADS = ("churn", "nat_write", "monitor_read")
 
 
@@ -117,7 +112,7 @@ def check_record(rec, where):
     require(rec["elapsed_s"] > 0, f"{where}: elapsed_s must be positive")
     require(rec["pps"] >= 0, f"{where}: negative pps")
 
-    conn = check_block(rec, "conn", CONN_FIELDS, where)
+    check_block(rec, "conn", CONN_FIELDS, where)
     check_block(rec, "access", ACCESS_FIELDS, where)
     state = check_block(rec, "state", STATE_FIELDS, where)
 
@@ -130,17 +125,6 @@ def check_record(rec, where):
     if strategy != "replication":
         require(state["remote_reads_avoided"] == 0,
                 f"{where}: remote_reads_avoided on a {strategy} run")
-    if strategy != "shared_locked":
-        require(state["lock_acquisitions"] == 0,
-                f"{where}: lock_acquisitions on a {strategy} run")
-
-    if strategy == "shared_locked":
-        require(conn["transferred_out"] == 0 and conn["foreign_in"] == 0,
-                f"{where}: shared_locked must never redirect conn packets")
-        if rec["forwarded"] > 0:
-            require(state["lock_acquisitions"] > 0,
-                    f"{where}: shared_locked forwarded traffic without "
-                    f"taking a lock")
 
     require("sync" in rec and "divergence" in rec,
             f"{where}: sync/divergence fields missing")
