@@ -92,6 +92,15 @@ Cycles SprayerCore::process_foreign(runtime::PacketBatch& batch, Time now) {
   return cycles;
 }
 
+void SprayerCore::housekeeping(Time now) {
+  chain_.housekeeping(hop_ctxs_, now);
+  if (sync_ != nullptr) {
+    stats_.busy_cycles += harvest_state_sync();
+    flush_transfers();
+  }
+  for (NfContext* ctx : hop_ctxs_) stats_.busy_cycles += ctx->drain_consumed();
+}
+
 Cycles SprayerCore::absorb_sync_frames(runtime::PacketBatch& batch) {
   const CostModel& costs = cfg_.costs;
   std::bitset<runtime::kMaxBatchSize> frame_at;

@@ -32,37 +32,21 @@ namespace sprayer::core {
 
 class HeavyHitterSketch;  // core/adaptive_spray.hpp
 
-/// Services the execution platform provides to one core.
+/// Services the execution platform provides to one core. Both move whole
+/// batches (§3.3: descriptors move "in batches"): one ring doorbell per
+/// transfer, one sink invocation per verdict batch.
 class ICorePort {
  public:
   virtual ~ICorePort() = default;
 
-  /// Hand a connection-packet descriptor to another core's ring. Returns
-  /// false when the destination ring is full (the engine then drops the
-  /// packet — same as a NIC queue overflow).
-  virtual bool transfer(CoreId dest, net::Packet* pkt) = 0;
+  /// Hand a group of connection-packet descriptors to one core's ring;
+  /// returns how many were accepted (a prefix — the rest hit a full ring
+  /// and the engine parks them for a retry).
+  virtual u32 transfer_batch(CoreId dest,
+                             std::span<net::Packet* const> pkts) = 0;
 
-  /// Hand a whole group of descriptors to one core's ring; returns how many
-  /// were accepted (a prefix — the rest hit a full ring). The default loops
-  /// over transfer(); batch-aware platforms override this with a single
-  /// ring doorbell per call (§3.3: descriptors move "in batches").
-  virtual u32 transfer_batch(CoreId dest, std::span<net::Packet* const> pkts) {
-    u32 accepted = 0;
-    for (net::Packet* pkt : pkts) {
-      if (!transfer(dest, pkt)) break;
-      ++accepted;
-    }
-    return accepted;
-  }
-
-  /// Transmit a processed packet (egress port derived from ingress).
-  virtual void transmit(net::Packet* pkt) = 0;
-
-  /// Transmit a whole verdict batch. The default loops over transmit();
-  /// batch-aware platforms override it to pay the sink cost once per batch.
-  virtual void transmit_batch(std::span<net::Packet* const> pkts) {
-    for (net::Packet* pkt : pkts) transmit(pkt);
-  }
+  /// Transmit a verdict batch (egress port derived from ingress).
+  virtual void transmit_batch(std::span<net::Packet* const> pkts) = 0;
 };
 
 /// Per-core counters. Each field is a single-writer relaxed cell (only the
@@ -161,15 +145,12 @@ class SprayerCore {
   /// batches and replays them. Null (default) disables all of it.
   void set_state_runtime(state::SyncRuntime* rt) noexcept { sync_ = rt; }
 
-  /// Harvest + broadcast any pending replication ops now (then flush the
-  /// mesh stages). The executor calls this from the worker after
-  /// housekeeping, whose expiries would otherwise sit in the log until the
-  /// next packet. No-op unless a sync runtime is attached.
-  void flush_state_sync() {
-    if (sync_ == nullptr) return;
-    stats_.busy_cycles += harvest_state_sync();
-    flush_transfers();
-  }
+  /// Periodic maintenance, called by the executor on this core's
+  /// housekeeping tick: every hop's housekeeping (lifecycle sweep, NAT
+  /// TIME_WAIT reaping), then a replication harvest + broadcast (the
+  /// expiries would otherwise sit in the op log until the next packet),
+  /// then the hops' cycles into busy_cycles.
+  void housekeeping(Time now);
 
   /// Process one batch polled from this core's NIC rx queue. Returns the
   /// cycles consumed. `now` is the batch start time (forwarded to the NF).

@@ -21,14 +21,6 @@ class FaultInjectedPort final : public ICorePort {
   FaultInjectedPort(ICorePort& inner, TransferFaultConfig cfg) noexcept
       : inner_(inner), cfg_(cfg) {}
 
-  bool transfer(CoreId dest, net::Packet* pkt) override {
-    if (should_reject() && cfg_.accept_cap == 0) {
-      ++forced_rejections_;
-      return false;
-    }
-    return inner_.transfer(dest, pkt);
-  }
-
   u32 transfer_batch(CoreId dest,
                      std::span<net::Packet* const> pkts) override {
     if (should_reject() && pkts.size() > cfg_.accept_cap) {
@@ -39,12 +31,11 @@ class FaultInjectedPort final : public ICorePort {
     return inner_.transfer_batch(dest, pkts);
   }
 
-  void transmit(net::Packet* pkt) override { inner_.transmit(pkt); }
   void transmit_batch(std::span<net::Packet* const> pkts) override {
     inner_.transmit_batch(pkts);
   }
 
-  /// transfer_batch (or transfer) calls the schedule truncated.
+  /// transfer_batch calls the schedule truncated.
   [[nodiscard]] u64 forced_rejections() const noexcept {
     return forced_rejections_;
   }

@@ -102,9 +102,6 @@ class FlowStateApi {
   void configure_strategy(const state::CoreStateView& view) noexcept {
     strat_ = view;
   }
-  [[nodiscard]] state::StateStrategyKind state_kind() const noexcept {
-    return strat_.kind;
-  }
   [[nodiscard]] const char* strategy_name() const noexcept {
     return state::to_string(strat_.kind);
   }
@@ -153,9 +150,13 @@ class FlowStateApi {
                       write_violation("insert_local_flow", flow_id, hash));
     cycles_ += costs_.flow_insert;
     count_write();
+    const u32 size_before = local().size();
     void* e = local().insert(flow_id, hash);
     if (e == nullptr) return nullptr;
-    if (replicating()) strat_.log->record_upsert(flow_id, hash, strat_.hop);
+    if (replicating()) {
+      strat_.log->record_upsert(flow_id, hash, strat_.hop,
+                                /*created=*/local().size() > size_before);
+    }
     FlowTable::touch(e, now_);
     return e;
   }

@@ -1,5 +1,7 @@
 #include "core/middlebox.hpp"
 
+#include <deque>
+
 #include "net/packet_pool.hpp"
 
 namespace sprayer::core {
@@ -13,14 +15,8 @@ namespace sprayer::core {
 class SimMiddlebox::SimCore final : public sim::IEventTarget,
                                     public ICorePort {
  public:
-  SimCore(SimMiddlebox& mbox, CoreId id, std::span<NfContext* const> hop_ctxs,
-          bool stateless)
-      : mbox_(mbox),
-        id_(id),
-        engine_(id, mbox.cfg_, stateless, mbox.chain_, mbox.picker_, hop_ctxs,
-                *this) {}
-
-  [[nodiscard]] SprayerCore& engine() noexcept { return engine_; }
+  explicit SimCore(SimMiddlebox& mbox)
+      : mbox_(mbox), engine_(mbox.add_engine(*this)) {}
 
   enum : u64 { kTagRun = 0, kTagHousekeeping = 1 };
 
@@ -49,14 +45,20 @@ class SimMiddlebox::SimCore final : public sim::IEventTarget,
   }
 
   // --- ICorePort -----------------------------------------------------------
-  bool transfer(CoreId dest, net::Packet* pkt) override {
-    SPRAYER_DCHECK(dest != id_);
-    return mbox_.cores_[dest]->accept_foreign(pkt);
+  u32 transfer_batch(CoreId dest,
+                     std::span<net::Packet* const> pkts) override {
+    SPRAYER_DCHECK(dest != engine_.id());
+    u32 accepted = 0;
+    while (accepted < pkts.size() &&
+           mbox_.cores_[dest]->accept_foreign(pkts[accepted])) {
+      ++accepted;
+    }
+    return accepted;
   }
 
-  void transmit(net::Packet* pkt) override {
-    // Buffered: the packet physically leaves when the batch completes.
-    pending_tx_.push_back(pkt);
+  void transmit_batch(std::span<net::Packet* const> pkts) override {
+    // Buffered: the packets physically leave when the batch completes.
+    pending_tx_.insert(pending_tx_.end(), pkts.begin(), pkts.end());
   }
 
   // --- sim::IEventTarget -----------------------------------------------
@@ -64,13 +66,7 @@ class SimMiddlebox::SimCore final : public sim::IEventTarget,
     if (tag == kTagHousekeeping) {
       // Control-plane maintenance: modeled as free in time (rare, small),
       // but its NF cycles are still accounted in the busy counter.
-      std::span<NfContext* const> ctxs{mbox_.ctx_ptrs_[engine_.id()]};
-      mbox_.chain_.housekeeping(ctxs, mbox_.sim_.now());
-      // Replication: broadcast housekeeping expiries right away.
-      engine_.flush_state_sync();
-      for (NfContext* ctx : ctxs) {
-        engine_.stats().busy_cycles += ctx->drain_consumed();
-      }
+      engine_.housekeeping(mbox_.sim_.now());
       mbox_.sim_.schedule_in(mbox_.cfg_.housekeeping_interval, this,
                              kTagHousekeeping);
       return;
@@ -93,7 +89,7 @@ class SimMiddlebox::SimCore final : public sim::IEventTarget,
       }
       cycles = engine_.process_foreign(batch, mbox_.sim_.now());
     } else {
-      const u32 n = mbox_.nic_.rx_burst(id_, batch.data(), burst);
+      const u32 n = mbox_.nic_.rx_burst(engine_.id(), batch.data(), burst);
       if (n > 0) {
         batch.set_size(n);  // rx_burst filled the batch storage directly
         cycles = engine_.process_rx(batch, mbox_.sim_.now());
@@ -122,13 +118,10 @@ class SimMiddlebox::SimCore final : public sim::IEventTarget,
 
  private:
   SimMiddlebox& mbox_;
-  CoreId id_;
-  SprayerCore engine_;
+  SprayerCore& engine_;
   std::deque<net::Packet*> foreign_;
   std::vector<net::Packet*> pending_tx_;
   bool event_pending_ = false;
-
-  friend class SimMiddlebox;
 };
 
 // --- SimMiddlebox ------------------------------------------------------
@@ -155,68 +148,12 @@ SimMiddlebox::SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg,
 SimMiddlebox::SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg,
                            std::unique_ptr<DynamicChain> owned,
                            DynamicChain* chain, nic::NicConfig nic_cfg)
-    : sim_(sim),
-      cfg_(cfg),
-      owned_chain_(std::move(owned)),
-      chain_(chain != nullptr ? *chain : *owned_chain_),
-      picker_(cfg.num_cores),
+    : MiddleboxSkeleton(cfg, std::move(owned), chain),
+      sim_(sim),
       nic_(sim, adjust_nic_config(nic_cfg, cfg)) {
-  SPRAYER_CHECK(cfg_.num_cores >= 1);
-
-  const u32 hops = chain_.num_hops();
-  hop_init_.resize(hops);
-  for (auto& hc : hop_init_) hc.state_strategy = cfg_.state.kind;
-  ChainInit chain_init;
-  chain_init.hop_cfgs = hop_init_;
-  chain_init.num_cores = cfg_.num_cores;
-  chain_init.lifecycle_sweep = cfg_.lifecycle.sweep;
-  chain_init.idle_timeout_override = cfg_.lifecycle.idle_timeout;
-  chain_init.sweep_groups_per_tick = cfg_.lifecycle.sweep_groups_per_tick;
-  chain_.init(chain_init);
-  stateless_chain_ = true;
-  for (u32 h = 0; h < hops; ++h) {
-    stateless_chain_ = stateless_chain_ && hop_init_[h].stateless;
-  }
-
-  // Per-hop flow tables, built by the state strategy (each hop has its own
-  // key space and entry size, so hops never share tables; the strategy
-  // decides shard vs replica).
-  strategy_ = state::StateStrategy::make(cfg_.state, cfg_.num_cores);
-  table_ptrs_.resize(hops);
-  for (u32 h = 0; h < hops; ++h) {
-    u32 table_capacity =
-        hop_init_[h].stateless ? 2u : hop_init_[h].flow_table_capacity;
-    if (!hop_init_[h].stateless && cfg_.lifecycle.flow_table_capacity != 0) {
-      table_capacity = cfg_.lifecycle.flow_table_capacity;
-    }
-    strategy_->add_hop(table_capacity, hop_init_[h].flow_entry_size);
-    const auto span = strategy_->hop_tables(h);
-    table_ptrs_[h].assign(span.begin(), span.end());
-    if (!hop_init_[h].stateless && cfg_.lifecycle.max_table_segments > 1) {
-      // Opt-in online growth.
-      for (FlowTable* t : table_ptrs_[h]) {
-        t->set_growth(cfg_.lifecycle.max_table_segments);
-      }
-    }
-  }
-  contexts_.resize(cfg_.num_cores);
-  ctx_ptrs_.resize(cfg_.num_cores);
+  build(/*registry=*/nullptr, /*hop_timing=*/false);
   for (u32 c = 0; c < cfg_.num_cores; ++c) {
-    for (u32 h = 0; h < hops; ++h) {
-      contexts_[c].push_back(std::make_unique<NfContext>(
-          static_cast<CoreId>(c),
-          std::span<FlowTable* const>{table_ptrs_[h]}, picker_, cfg_.costs));
-      contexts_[c].back()->configure_state(
-          strategy_->view(static_cast<CoreId>(c), h));
-      ctx_ptrs_[c].push_back(contexts_[c].back().get());
-    }
-    // ctx_ptrs_[c] is complete (and ctx_ptrs_ fully sized) before the
-    // engine captures its span.
-    cores_.push_back(std::make_unique<SimCore>(
-        *this, static_cast<CoreId>(c),
-        std::span<NfContext* const>{ctx_ptrs_[c]}, stateless_chain_));
-    cores_.back()->engine().set_state_runtime(
-        strategy_->sync_runtime(static_cast<CoreId>(c)));
+    cores_.push_back(std::make_unique<SimCore>(*this));
   }
 
   nic_.set_rx_listener(this);
@@ -241,20 +178,20 @@ void SimMiddlebox::transmit_out(net::Packet* pkt) {
 
 MiddleboxReport SimMiddlebox::report() const {
   MiddleboxReport r;
-  for (const auto& c : cores_) {
-    r.per_core.push_back(c->engine().stats());
-    r.total.merge(c->engine().stats());
-  }
+  for (const auto& e : engines_) r.per_core.push_back(e->stats());
+  r.total = total_stats();
   r.nic = nic_.counters();
-  for (const auto& hop : table_ptrs_) {
-    for (const FlowTable* t : hop) r.flow_entries += t->size();
+  for (u32 h = 0; h < num_hops(); ++h) {
+    for (const FlowTable* t : strategy_->hop_tables(h)) {
+      r.flow_entries += t->size();
+    }
   }
   r.flow_access = access_stats();
   return r;
 }
 
 void SimMiddlebox::reset_stats() {
-  for (auto& c : cores_) c->engine().stats() = CoreStats{};
+  for (auto& e : engines_) e->stats() = CoreStats{};
   nic_.reset_counters();
 }
 

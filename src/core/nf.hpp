@@ -38,12 +38,6 @@ struct NfInitConfig {
   /// init() returns). Null → telemetry off or a non-telemetry executor; an
   /// NF then falls back to a private registry so its counters keep working.
   telemetry::MetricsRegistry* registry = nullptr;
-  /// Set by the framework *before* calling init(): the state strategy the
-  /// middlebox was built with (DESIGN.md §14). NFs rarely care — the
-  /// FlowStateApi hides the difference — but ones with cross-flow invariants
-  /// (NAT's port pool) may need to know their housekeeping runs against a
-  /// replicated table.
-  state::StateStrategyKind state_strategy = state::StateStrategyKind::kWritingPartition;
   /// Idle timeout for this NF's flow entries, driven by the lifecycle sweep
   /// (DESIGN.md §15): a flow whose last_seen stamp is at least this old is
   /// offered to flow_expired()/on_expire() on its designated core. NFs set

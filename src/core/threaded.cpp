@@ -35,16 +35,10 @@ class ThreadedMiddlebox::CorePort final : public ICorePort {
  public:
   CorePort(ThreadedMiddlebox& owner, CoreId id) : owner_(owner), id_(id) {}
 
-  bool transfer(CoreId dest, net::Packet* pkt) override {
-    return owner_.mesh_[id_][dest]->push(pkt);
-  }
-
   u32 transfer_batch(CoreId dest,
                      std::span<net::Packet* const> pkts) override {
     return owner_.mesh_[id_][dest]->push_bulk(pkts);
   }
-
-  void transmit(net::Packet* pkt) override { transmit_batch({&pkt, 1}); }
 
   void transmit_batch(std::span<net::Packet* const> pkts) override {
     // The tx boundary is where spray-induced reordering becomes visible:
@@ -67,11 +61,9 @@ class ThreadedMiddlebox::CorePort final : public ICorePort {
 ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
                                      std::unique_ptr<DynamicChain> owned,
                                      DynamicChain* chain, TxBatchHandler tx)
-    : cfg_(cfg), owned_chain_(std::move(owned)),
-      chain_(chain != nullptr ? *chain : *owned_chain_), tx_(std::move(tx)),
-      picker_(cfg.num_cores), rss_(cfg.num_cores),
-      registry_(cfg.num_cores + 1), collector_(registry_) {
-  SPRAYER_CHECK(cfg_.num_cores >= 1);
+    : MiddleboxSkeleton(cfg, std::move(owned), chain), tx_(std::move(tx)),
+      rss_(cfg.num_cores), registry_(cfg.num_cores + 1),
+      collector_(registry_) {
   SPRAYER_CHECK(tx_ != nullptr);
   SPRAYER_CHECK_MSG(cfg_.rx_batch >= 1 &&
                         cfg_.rx_batch <= runtime::kMaxBatchSize,
@@ -132,24 +124,8 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
     tracer_->register_metrics(registry_);
   }
 
-  const u32 hops = chain_.num_hops();
-  hop_init_.resize(hops);
-  for (auto& hc : hop_init_) hc.state_strategy = cfg_.state.kind;
-  if (cfg_.telemetry) {
-    for (auto& hc : hop_init_) hc.registry = &registry_;
-  }
-  ChainInit chain_init;
-  chain_init.hop_cfgs = hop_init_;
-  chain_init.num_cores = cfg_.num_cores;
-  chain_init.registry = cfg_.telemetry ? &registry_ : nullptr;
-  chain_init.hop_timing = cfg_.chain_hop_timing;
-  chain_init.lifecycle_sweep = cfg_.lifecycle.sweep;
-  chain_init.idle_timeout_override = cfg_.lifecycle.idle_timeout;
-  chain_init.sweep_groups_per_tick = cfg_.lifecycle.sweep_groups_per_tick;
-  chain_.init(chain_init);
+  build(cfg_.telemetry ? &registry_ : nullptr, cfg_.chain_hop_timing);
   if (cfg_.telemetry) registry_.finalize();
-  stateless_chain_ = true;
-  for (const auto& hc : hop_init_) stateless_chain_ &= hc.stateless;
   if (cfg_.reorder_observatory) {
     reorder_ = std::make_unique<telemetry::ReorderObservatory>();
   }
@@ -210,38 +186,7 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
     SPRAYER_CHECK_MSG(s.ok(), "failed to program Flow Director spraying");
   }
 
-  // Per-hop flow tables, built by the state strategy (each hop keys by its
-  // own tuple space and entry size, so hops never share a table; the
-  // strategy decides whether a hop gets per-core shards or replicas).
-  strategy_ = state::StateStrategy::make(cfg_.state, cfg_.num_cores);
-  table_ptrs_.resize(hops);
-  for (u32 h = 0; h < hops; ++h) {
-    u32 table_capacity =
-        hop_init_[h].stateless ? 2u : hop_init_[h].flow_table_capacity;
-    if (!hop_init_[h].stateless && cfg_.lifecycle.flow_table_capacity != 0) {
-      table_capacity = cfg_.lifecycle.flow_table_capacity;
-    }
-    strategy_->add_hop(table_capacity, hop_init_[h].flow_entry_size);
-    const auto span = strategy_->hop_tables(h);
-    table_ptrs_[h].assign(span.begin(), span.end());
-    if (!hop_init_[h].stateless && cfg_.lifecycle.max_table_segments > 1) {
-      // Opt-in online growth.
-      for (FlowTable* t : table_ptrs_[h]) {
-        t->set_growth(cfg_.lifecycle.max_table_segments);
-      }
-    }
-  }
-  contexts_.resize(cfg_.num_cores);
-  ctx_ptrs_.resize(cfg_.num_cores);
   for (u32 c = 0; c < cfg_.num_cores; ++c) {
-    for (u32 h = 0; h < hops; ++h) {
-      contexts_[c].push_back(std::make_unique<NfContext>(
-          static_cast<CoreId>(c),
-          std::span<FlowTable* const>{table_ptrs_[h]}, picker_, cfg_.costs));
-      contexts_[c].back()->configure_state(
-          strategy_->view(static_cast<CoreId>(c), h));
-      ctx_ptrs_[c].push_back(contexts_[c].back().get());
-    }
     ports_.push_back(std::make_unique<CorePort>(*this,
                                                 static_cast<CoreId>(c)));
     ICorePort* port = ports_.back().get();
@@ -250,21 +195,13 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
           *port, cfg_.transfer_fault));
       port = fault_ports_.back().get();
     }
-    engines_.push_back(std::make_unique<SprayerCore>(
-        static_cast<CoreId>(c), cfg_, stateless_chain_, chain_, picker_,
-        std::span<NfContext* const>{ctx_ptrs_[c]}, *port));
+    SprayerCore& engine = add_engine(*port);
     if (cfg_.telemetry) {
       engine_tm.shard = c;
-      engines_.back()->set_telemetry(engine_tm);
+      engine.set_telemetry(engine_tm);
     }
-    if (adaptive_ != nullptr) {
-      engines_.back()->set_flow_sketch(&adaptive_->sketch(c));
-    }
-    if (live_ != nullptr) {
-      engines_.back()->set_flow_recorder(recorders_[c].get());
-    }
-    engines_.back()->set_state_runtime(
-        strategy_->sync_runtime(static_cast<CoreId>(c)));
+    if (adaptive_ != nullptr) engine.set_flow_sketch(&adaptive_->sketch(c));
+    if (live_ != nullptr) engine.set_flow_recorder(recorders_[c].get());
     rx_rings_.push_back(std::make_unique<Ring>(cfg_.rx_ring_capacity));
   }
   if (cfg_.telemetry &&
@@ -294,10 +231,8 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
     });
     registry_.gauge_fn("state.remote_reads_avoided", [this] {
       u64 n = 0;
-      for (const auto& core_ctxs : contexts_) {
-        for (const auto& ctx : core_ctxs) {
-          n += ctx->flows().strategy_counters().remote_reads_avoided;
-        }
+      for (const auto& ctx : contexts_) {
+        n += ctx->flows().strategy_counters().remote_reads_avoided;
       }
       return n;
     });
@@ -485,7 +420,6 @@ u32 ThreadedMiddlebox::inject_bulk(std::span<net::Packet* const> pkts) {
     accepted += static_cast<u32>(group.size());
   }
   if (shed_reg + shed_cn > 0) {
-    rx_ring_drops_.fetch_add(shed_reg + shed_cn, std::memory_order_relaxed);
     shed_regular_.fetch_add(shed_reg, std::memory_order_relaxed);
     shed_conn_.fetch_add(shed_cn, std::memory_order_relaxed);
   }
@@ -540,14 +474,8 @@ bool ThreadedMiddlebox::worker_body(CoreId core) {
     // needs the same update window as packet processing or a
     // consistent=true snapshot can observe the burst half-applied.
     registry_.begin_update(core);
-    chain_.housekeeping(ctx_ptrs_[core], now);
-    // Replication: housekeeping expiries (NAT TIME_WAIT removes) sit in
-    // the op log until a packet would flush them — broadcast them now.
-    engines_[core]->flush_state_sync();
+    engines_[core]->housekeeping(now);
     registry_.end_update(core);
-    for (NfContext* ctx : ctx_ptrs_[core]) {
-      engines_[core]->stats().busy_cycles += ctx->drain_consumed();
-    }
     // Halve this core's heavy-hitter sketch so it tracks a decayed rate
     // (worker-owned: the sketch is single-writer per core).
     if (adaptive_ != nullptr) adaptive_->sketch(core).decay();
@@ -661,12 +589,6 @@ void ThreadedMiddlebox::wait_idle() const {
     }
     std::this_thread::sleep_for(100us);
   }
-}
-
-CoreStats ThreadedMiddlebox::total_stats() const {
-  CoreStats total;
-  for (const auto& e : engines_) total.merge(e->stats());
-  return total;
 }
 
 }  // namespace sprayer::core

@@ -1,5 +1,7 @@
-// Threaded execution of the Sprayer framework: the same SprayerCore engine
-// logic that the simulator drives, running on real std::thread workers.
+// Threaded execution of the Sprayer framework: the shared per-core
+// framework (core/skeleton.hpp: chain, flow tables, contexts, engines) the
+// simulator also drives, running on real std::thread workers. What it adds
+// is the driver, the rings, the worker loop and the runtime telemetry.
 //
 // Topology per the paper's architecture (Figure 4):
 //   * a driver (any single thread) injects packets through inject() /
@@ -30,18 +32,12 @@
 #include <vector>
 
 #include "core/adaptive_spray.hpp"
-#include "core/chain.hpp"
-#include "core/config.hpp"
-#include "core/core_picker.hpp"
-#include "core/engine.hpp"
 #include "core/fault.hpp"
-#include "core/flow_table.hpp"
-#include "core/nf.hpp"
+#include "core/skeleton.hpp"
 #include "nic/flow_director.hpp"
 #include "nic/rss.hpp"
 #include "runtime/spsc_ring.hpp"
 #include "runtime/worker_group.hpp"
-#include "state/strategy.hpp"
 #include "telemetry/flow_export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/reorder.hpp"
@@ -50,7 +46,7 @@
 
 namespace sprayer::core {
 
-class ThreadedMiddlebox {
+class ThreadedMiddlebox final : public MiddleboxSkeleton {
  public:
   /// `tx` receives every forwarded verdict batch, on worker threads.
   using TxBatchHandler = std::function<void(std::span<net::Packet* const>)>;
@@ -66,9 +62,6 @@ class ThreadedMiddlebox {
                     TxBatchHandler tx);
   ThreadedMiddlebox(SprayerConfig cfg, INetworkFunction& nf, TxHandler tx);
   ~ThreadedMiddlebox();
-
-  ThreadedMiddlebox(const ThreadedMiddlebox&) = delete;
-  ThreadedMiddlebox& operator=(const ThreadedMiddlebox&) = delete;
 
   /// Start the worker threads.
   void start();
@@ -95,48 +88,9 @@ class ThreadedMiddlebox {
   /// Block until all rings are empty and workers are idle.
   void wait_idle() const;
 
-  [[nodiscard]] const SprayerConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] DynamicChain& chain() noexcept { return chain_; }
-  [[nodiscard]] u32 num_hops() const noexcept { return chain_.num_hops(); }
-  /// Hop 0's flow table on `core`: the core's owned shard under writing
-  /// partition, its full replica under replication.
-  [[nodiscard]] FlowTable& flow_table(CoreId core) noexcept {
-    return *table_ptrs_[0][core];
-  }
-  [[nodiscard]] FlowTable& hop_flow_table(u32 hop, CoreId core) noexcept {
-    return *table_ptrs_[hop][core];
-  }
-  /// The state strategy the tables and engines were built from
-  /// (DESIGN.md §14) — for divergence checks and per-strategy stats.
-  [[nodiscard]] state::StateStrategy& state_strategy() noexcept {
-    return *strategy_;
-  }
-  /// Hop 0's context on `core` (the whole context for single-NF setups) —
-  /// for per-strategy counters and access stats; exact when workers idle.
-  [[nodiscard]] NfContext& context(CoreId core) noexcept {
-    return *contexts_[core][0];
-  }
-  [[nodiscard]] NfContext& hop_context(u32 hop, CoreId core) noexcept {
-    return *contexts_[core][hop];
-  }
-  /// Aggregate observed flow-state access pattern across all cores and hops.
-  [[nodiscard]] FlowAccessStats access_stats() const {
-    FlowAccessStats total;
-    for (const auto& per_core : contexts_) {
-      for (const auto& ctx : per_core) {
-        total.merge(ctx->flows().access_stats());
-      }
-    }
-    return total;
-  }
-  [[nodiscard]] const CorePicker& picker() const noexcept { return picker_; }
-  [[nodiscard]] CoreStats total_stats() const;
-  /// One core's counters (read when workers are idle for exact values).
-  [[nodiscard]] const CoreStats& core_stats(CoreId core) const noexcept {
-    return engines_[core]->stats();
-  }
+  /// Packets shed or dropped at the rx boundary (inject/inject_bulk).
   [[nodiscard]] u64 rx_ring_drops() const noexcept {
-    return rx_ring_drops_.load(std::memory_order_relaxed);
+    return shed_regular() + shed_conn();
   }
   /// Class-split of rx_ring_drops(): regular packets shed at the rx
   /// boundary vs connection packets dropped there (the latter only when
@@ -146,13 +100,6 @@ class ThreadedMiddlebox {
   }
   [[nodiscard]] u64 shed_conn() const noexcept {
     return shed_conn_.load(std::memory_order_relaxed);
-  }
-  /// Connection-packet descriptors currently parked engine-side awaiting a
-  /// mesh-ring retry, summed over cores.
-  [[nodiscard]] u32 pending_transfers() const noexcept {
-    u32 n = 0;
-    for (const auto& e : engines_) n += e->pending_transfers();
-    return n;
   }
   /// transfer_batch calls the fault-injection schedule truncated (0 when
   /// SprayerConfig::transfer_fault is disabled).
@@ -286,27 +233,14 @@ class ThreadedMiddlebox {
   ThreadedMiddlebox(SprayerConfig cfg, std::unique_ptr<DynamicChain> owned,
                     DynamicChain* chain, TxBatchHandler tx);
 
-  SprayerConfig cfg_;
-  std::unique_ptr<DynamicChain> owned_chain_;  // before chain_ (ref target)
-  DynamicChain& chain_;
   TxBatchHandler tx_;
-  std::vector<NfInitConfig> hop_init_;  // one per hop, filled by chain init
-  bool stateless_chain_ = false;        // every hop stateless: never redirect
-  CorePicker picker_;
   nic::RssEngine rss_;
   nic::FlowDirector fdir_;
 
-  // Owns every flow table (shape depends on the strategy kind) plus the
-  // replication runtimes; table_ptrs_ caches its per-hop spans.
-  std::unique_ptr<state::StateStrategy> strategy_;
-  std::vector<std::vector<FlowTable*>> table_ptrs_;  // [hop][core]
-  std::vector<std::vector<std::unique_ptr<NfContext>>> contexts_;  // [core][hop]
-  std::vector<std::vector<NfContext*>> ctx_ptrs_;                  // [core][hop]
   std::vector<std::unique_ptr<CorePort>> ports_;
   // Fault-injection wrappers interposed between engine and CorePort when
   // SprayerConfig::transfer_fault is enabled (empty otherwise).
   std::vector<std::unique_ptr<FaultInjectedPort>> fault_ports_;
-  std::vector<std::unique_ptr<SprayerCore>> engines_;
 
   // Per-core rx rings (driver -> core) and the transfer mesh
   // (src core -> dst core), all SPSC.
@@ -336,7 +270,6 @@ class ThreadedMiddlebox {
   // Occupancy above which kDropRegularFirst sheds regular packets
   // (precomputed from rx_ring_capacity * rx_shed_watermark).
   u32 rx_shed_threshold_ = 0;
-  std::atomic<u64> rx_ring_drops_{0};
   std::atomic<u64> shed_regular_{0};
   std::atomic<u64> shed_conn_{0};
   std::atomic<u32> busy_workers_{0};

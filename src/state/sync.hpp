@@ -27,10 +27,6 @@
 #include "net/packet.hpp"
 #include "state/view.hpp"
 
-namespace sprayer::net {
-class PacketPool;
-}
-
 namespace sprayer::state {
 
 /// user_tag bit marking a mesh-ring descriptor as a sync frame. Bits 63/62
@@ -93,15 +89,11 @@ class SyncRuntime {
   [[nodiscard]] ReplOpLog& log() noexcept { return log_; }
   [[nodiscard]] bool has_pending() const noexcept { return !log_.empty(); }
 
-  /// Last packet pool seen by this core's engine; sync frames are allocated
-  /// from it. Null until the core processes its first rx batch (no flows —
-  /// and hence no ops — can exist before that).
-  net::PacketPool* pool_hint = nullptr;
-
   /// Serialize the current log into wire chunks of at most `max_bytes`
   /// payload each, reading upsert bytes from this core's replicas *now*
   /// (ops whose entry has since been removed are skipped — the logged
-  /// remove that follows still ships). Chunk views stay valid until the
+  /// remove that follows still ships; the log drops both ops itself when
+  /// the entry was created since the last harvest). Chunk views stay valid until the
   /// next serialize() call; the log is left intact so a failed broadcast
   /// (pool empty) can retry the exact same ops later.
   [[nodiscard]] std::span<const std::span<const u8>> serialize(u32 max_bytes);

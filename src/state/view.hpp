@@ -6,6 +6,7 @@
 // writing-partition hot path is the plain table access.
 #pragma once
 
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -30,6 +31,9 @@ struct ReplOp {
   u32 hash = 0;
   u8 hop = 0;
   ReplOpKind kind = ReplOpKind::kUpsert;
+  /// Upsert that created the entry (it was absent before). Sender-side
+  /// only, never on the wire.
+  bool created = false;
 };
 
 /// Ordered per-core mutation log, appended by FlowStateApi during connection
@@ -40,18 +44,26 @@ class ReplOpLog {
   /// Record an upsert unless the key+hop's most recent logged op is already
   /// an upsert (the harvest reads final bytes, so consecutive upserts of the
   /// same entry are redundant). A remove in between keeps both ops: the
-  /// remove/re-insert order must survive on the replicas.
-  void record_upsert(const net::FiveTuple& key, u32 hash, u8 hop) {
-    for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
-      if (it->hop != hop || it->key != key) continue;
-      if (it->kind == ReplOpKind::kUpsert) return;
-      break;  // most recent op is a remove: append the re-upsert
+  /// remove/re-insert order must survive on the replicas. `created` marks
+  /// the insert of an entry that did not exist before.
+  void record_upsert(const net::FiveTuple& key, u32 hash, u8 hop,
+                     bool created = false) {
+    if (const auto it = last_op(key, hop);
+        it != ops_.end() && it->kind == ReplOpKind::kUpsert) {
+      return;
     }
-    ops_.push_back({key, hash, hop, ReplOpKind::kUpsert});
+    ops_.push_back({key, hash, hop, ReplOpKind::kUpsert, created});
     ++logged_;
   }
 
+  /// Record a remove. An entry created since the last harvest never reached
+  /// the replicas: its upsert is dropped and the remove not logged, so no
+  /// peer is asked to remove a flow it never had.
   void record_remove(const net::FiveTuple& key, u32 hash, u8 hop) {
+    if (const auto it = last_op(key, hop); it != ops_.end() && it->created) {
+      ops_.erase(it);
+      return;
+    }
     ops_.push_back({key, hash, hop, ReplOpKind::kRemove});
     ++logged_;
   }
@@ -64,6 +76,15 @@ class ReplOpLog {
   [[nodiscard]] u64 logged() const noexcept { return logged_; }
 
  private:
+  /// The key+hop's most recent op, or end() when none is logged.
+  [[nodiscard]] std::vector<ReplOp>::iterator last_op(
+      const net::FiveTuple& key, u8 hop) noexcept {
+    for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
+      if (it->hop == hop && it->key == key) return std::next(it).base();
+    }
+    return ops_.end();
+  }
+
   std::vector<ReplOp> ops_;
   u64 logged_ = 0;
 };

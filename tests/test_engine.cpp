@@ -21,12 +21,15 @@ constexpr u32 kCores = 4;
 /// Records transfers and transmissions instead of performing them.
 class MockPort final : public ICorePort {
  public:
-  bool transfer(CoreId dest, net::Packet* pkt) override {
-    if (reject_transfers) return false;
-    transferred.emplace_back(dest, pkt);
-    return true;
+  u32 transfer_batch(CoreId dest,
+                     std::span<net::Packet* const> pkts) override {
+    if (reject_transfers) return 0;
+    for (net::Packet* pkt : pkts) transferred.emplace_back(dest, pkt);
+    return static_cast<u32>(pkts.size());
   }
-  void transmit(net::Packet* pkt) override { transmitted.push_back(pkt); }
+  void transmit_batch(std::span<net::Packet* const> pkts) override {
+    transmitted.insert(transmitted.end(), pkts.begin(), pkts.end());
+  }
 
   std::vector<std::pair<CoreId, net::Packet*>> transferred;
   std::vector<net::Packet*> transmitted;

@@ -19,13 +19,16 @@
 #include "core/core_picker.hpp"
 #include "core/flow_state.hpp"
 #include "core/flow_table.hpp"
+#include "core/middlebox.hpp"
 #include "core/threaded.hpp"
 #include "net/packet_builder.hpp"
 #include "nf/firewall.hpp"
 #include "nf/load_balancer.hpp"
 #include "nf/monitor.hpp"
 #include "nf/nat.hpp"
+#include "nf/redundancy.hpp"
 #include "nic/pktgen.hpp"
+#include "sim/simulator.hpp"
 #include "state/strategy.hpp"
 #include "state/sync.hpp"
 #include "state/view.hpp"
@@ -162,6 +165,53 @@ TEST(SyncRuntime, SmallFramesChunkAndVanishedEntriesAreSkipped) {
   EXPECT_EQ(dst.stats().apply_failures.load(), 0u);
 }
 
+// A flow inserted and removed between two harvests never reached the
+// replicas, so nothing about it may ship: a remove for it would make every
+// peer count an apply failure. A flow that existed before the window still
+// ships its remove.
+TEST(SyncRuntime, FlowCreatedAndRemovedWithinOneWindowShipsNothing) {
+  state::StateStrategyConfig cfg;
+  cfg.kind = state::StateStrategyKind::kReplication;
+  auto strat = state::StateStrategy::make(cfg, kCores);
+  strat->add_hop(256, 16);
+  const CorePicker picker(kCores);
+  const CostModel costs;
+
+  const auto fresh = tuple_of(1);
+  const auto owner = picker.pick(fresh);
+  auto old = tuple_of(2);
+  while (picker.pick(old) != owner) ++old.src_port;
+  NfContext ctx(owner, strat->hop_tables(0), picker, costs);
+  ctx.configure_state(strat->view(owner, 0));
+
+  auto harvest_and_apply = [&] {
+    state::SyncRuntime& rt = *strat->sync_runtime(owner);
+    for (const auto& chunk : rt.serialize(4096)) {
+      for (CoreId c = 0; c < kCores; ++c) {
+        if (c != owner) (void)strat->sync_runtime(c)->apply(chunk);
+      }
+    }
+    rt.clear_log();
+  };
+
+  ASSERT_NE(ctx.flows().insert_local_flow(old), nullptr);
+  harvest_and_apply();
+  // One window: `fresh` is born and dies, `old` dies.
+  ASSERT_NE(ctx.flows().insert_local_flow(fresh), nullptr);
+  ASSERT_NE(ctx.flows().get_local_flow(fresh), nullptr);
+  ASSERT_TRUE(ctx.flows().remove_local_flow(fresh));
+  ASSERT_TRUE(ctx.flows().remove_local_flow(old));
+  harvest_and_apply();
+
+  const auto sync = strat->sync_stats();
+  EXPECT_EQ(sync.apply_failures, 0u);
+  EXPECT_EQ(sync.ops_applied, 2u * (kCores - 1));  // old: upsert + remove
+  for (FlowTable* t : strat->hop_tables(0)) {
+    EXPECT_EQ(t->size(), 0u);
+  }
+  EXPECT_TRUE(strat->check_divergence().clean());
+}
+
 // --- unit: strategy topologies + divergence audit ---------------------------
 
 TEST(StateStrategy, TableTopologiesMatchTheirContract) {
@@ -234,6 +284,67 @@ TEST(StateStrategy, DivergenceAuditCountsMissingExtraAndMismatched) {
   EXPECT_EQ(report.missing_entries, 0u);
   EXPECT_EQ(report.extra_entries, 0u);
   EXPECT_EQ(report.mismatched_entries, 1u);
+}
+
+// --- executor parity: both executors build the same per-core wiring --------
+
+/// Per-(hop, core) table shape as an executor built it.
+struct TableShape {
+  u32 capacity = 0;
+  u32 entry_size = 0;
+  u32 max_segments = 0;
+  bool operator==(const TableShape&) const = default;
+};
+
+template <typename Mbox>
+std::vector<TableShape> table_shapes(Mbox& mbox) {
+  std::vector<TableShape> out;
+  for (u32 h = 0; h < mbox.num_hops(); ++h) {
+    for (u32 c = 0; c < kCores; ++c) {
+      const FlowTable& t = mbox.hop_flow_table(h, static_cast<CoreId>(c));
+      out.push_back({t.capacity(), t.entry_size(), t.max_segments()});
+    }
+  }
+  return out;
+}
+
+TEST(ExecutorParity, StatelessAndStatefulHopsGetTheSameTables) {
+  constexpr u32 kCapacity = 1u << 9;
+  constexpr u32 kSegments = 4;
+  for (const auto kind : kAllKinds) {
+    SCOPED_TRACE(state::to_string(kind));
+    SprayerConfig cfg;
+    cfg.num_cores = kCores;
+    cfg.state.kind = kind;
+    cfg.lifecycle.flow_table_capacity = kCapacity;
+    cfg.lifecycle.max_table_segments = kSegments;
+
+    nf::RedundancyNf re_sim, re_thr;
+    nf::FirewallNf fw_sim(nf::Acl{true}), fw_thr(nf::Acl{true});
+    DynamicChain sim_chain({&re_sim, &fw_sim});
+    DynamicChain thr_chain({&re_thr, &fw_thr});
+    sim::Simulator sim;
+    SimMiddlebox sim_mbox(sim, cfg, sim_chain);
+    ThreadedMiddlebox thr_mbox(cfg, thr_chain,
+                               [](std::span<net::Packet* const>) {});
+    const auto shapes = table_shapes(sim_mbox);
+    ASSERT_EQ(shapes.size(), 2 * kCores);
+    EXPECT_EQ(shapes, table_shapes(thr_mbox));
+
+    // What the strategy builds for a 2-slot request (the stateless hop) and
+    // for the lifecycle capacity override (the stateful hop).
+    auto reference = state::StateStrategy::make(cfg.state, kCores);
+    reference->add_hop(2, shapes[0].entry_size);
+    reference->add_hop(kCapacity, shapes[kCores].entry_size);
+    for (u32 c = 0; c < kCores; ++c) {
+      const TableShape& stateless = shapes[c];
+      const TableShape& stateful = shapes[kCores + c];
+      EXPECT_EQ(stateless.capacity, reference->hop_tables(0)[c]->capacity());
+      EXPECT_EQ(stateless.max_segments, 1u);  // growth off
+      EXPECT_EQ(stateful.capacity, reference->hop_tables(1)[c]->capacity());
+      EXPECT_EQ(stateful.max_segments, kSegments);  // growth on
+    }
+  }
 }
 
 // --- unit: violation messages name the strategy and cores --------------------
