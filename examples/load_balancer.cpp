@@ -4,7 +4,7 @@
 // with loose consistency (per-core counters, aggregated on demand) — the
 // pattern the paper recommends for global statistics (§3.4).
 //
-//   ./build/examples/load_balancer [flows=24] [backends=3]
+//   ./build/examples/load_balancer [flows=24] [backends=3]   (backends 1..246)
 #include <cstdio>
 
 #include "common/config.hpp"
@@ -17,14 +17,24 @@ using namespace sprayer;
 int main(int argc, char** argv) {
   const CliConfig cli(argc, argv);
   const u32 flows = static_cast<u32>(cli.get_u64("flows", 24));
-  const u32 backends = static_cast<u32>(cli.get_u64("backends", 3));
+  // Backend b is 10.1.0.(10 + b): the last octet bounds the count.
+  constexpr u32 kFirstOctet = 10;
+  constexpr u32 kMaxBackends = 255 - kFirstOctet + 1;
+  const u64 backends_arg = cli.get_u64("backends", 3);
+  if (backends_arg < 1 || backends_arg > kMaxBackends) {
+    std::fprintf(stderr, "usage: load_balancer [flows=N] [backends=1..%u]\n",
+                 kMaxBackends);
+    return 2;
+  }
+  const auto backends = static_cast<u32>(backends_arg);
 
   nf::LbConfig lb_cfg;
   lb_cfg.vip = net::Ipv4Addr{198, 51, 100, 1};
   lb_cfg.vport = 443;
   for (u32 b = 0; b < backends; ++b) {
+    const auto octet = static_cast<u8>(kFirstOctet + b);
     lb_cfg.backends.push_back(
-        {net::MacAddr::from_id(0x100 + b), net::Ipv4Addr{10, 1, 0, 10 + b}});
+        {net::MacAddr::from_id(0x100 + b), net::Ipv4Addr{10, 1, 0, octet}});
   }
   nf::LoadBalancerNf lb(lb_cfg);
 

@@ -37,10 +37,6 @@ class RelaxedU64 {
     store(load() + n);
     return *this;
   }
-  RelaxedU64& operator-=(u64 n) noexcept {
-    store(load() - n);
-    return *this;
-  }
   RelaxedU64& operator++() noexcept { return *this += 1; }
 
   // NOLINTNEXTLINE(runtime/explicit) — implicit read keeps call sites plain.

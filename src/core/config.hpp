@@ -140,8 +140,8 @@ struct SprayerConfig {
   Time housekeeping_interval = 10 * kMillisecond;
   /// Runtime telemetry (src/telemetry/): per-core sharded counters and
   /// histograms for workers, engines and NFs. Hot-path cost is a plain
-  /// store to a core-private cache line; false skips even that (handles
-  /// become no-ops).
+  /// store to a core-private cache line. false keeps only the always-live
+  /// engine (CoreStats) and shed counts; other handles become no-ops.
   bool telemetry = true;
   /// Per-hop latency counters for service chains ("chain.h<i>.<nf>.ns"):
   /// one extra clock read per hop per batch, so off by default (per-hop

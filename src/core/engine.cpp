@@ -13,10 +13,69 @@
 
 namespace sprayer::core {
 
+namespace {
+
+using S = CoreStats;
+using M = EngineMetrics;
+
+/// Each count: its registry name, its CoreStats field, its handle.
+struct CountCell {
+  const char* name;
+  RelaxedU64 S::*stat;
+  telemetry::Counter M::*handle;
+};
+constexpr CountCell kCountCells[] = {
+    {"engine.rx_packets", &S::rx_packets, &M::rx_packets},
+    {"engine.regular_packets", &S::regular_packets, &M::regular_packets},
+    {"engine.conn_local", &S::conn_local, &M::conn_local},
+    {"engine.transfer_flush_packets", &S::conn_transferred_out,
+     &M::conn_transferred_out},
+    {"worker.foreign_packets", &S::conn_foreign_in, &M::conn_foreign_in},
+    {"engine.transfer_flush_drops", &S::transfer_drops, &M::transfer_drops},
+    {"engine.transfer_retry_packets", &S::transfer_retries,
+     &M::transfer_retries},
+    {"engine.nf_drops", &S::nf_drops, &M::nf_drops},
+    {"engine.tx_packets", &S::tx_packets, &M::tx_packets},
+    {"engine.busy_cycles", &S::busy_cycles, &M::busy_cycles},
+};
+
+}  // namespace
+
+EngineMetrics EngineMetrics::register_in(telemetry::MetricsRegistry& reg,
+                                         bool extras) {
+  EngineMetrics m;
+  for (const CountCell& c : kCountCells) m.*c.handle = reg.counter(c.name);
+  if (extras) {
+    m.flush_calls = reg.counter("engine.transfer_flush_calls");
+    m.pending_hwm = reg.gauge("engine.transfer_pending_hwm",
+                              telemetry::MetricKind::kGaugeMax);
+    m.retry_rounds = reg.histogram("engine.transfer_retry_rounds", 5);
+  }
+  return m;
+}
+
+CoreStats EngineMetrics::read(const telemetry::MetricsRegistry& reg,
+                              u32 first_shard, u32 shards) const noexcept {
+  CoreStats s;
+  for (const CountCell& c : kCountCells) {
+    u64 sum = 0;
+    for (u32 i = first_shard; i < first_shard + shards; ++i) {
+      sum += reg.read(this->*c.handle, i);
+    }
+    s.*c.stat = sum;
+  }
+  return s;
+}
+
+Cycles SprayerCore::busy(Cycles cycles) noexcept {
+  m_.busy_cycles.add(id_, cycles);
+  return cycles;
+}
+
 Cycles SprayerCore::process_rx(runtime::PacketBatch& batch, Time now) {
   const CostModel& costs = cfg_.costs;
   Cycles cycles = costs.batch_overhead;
-  stats_.rx_packets += batch.size();
+  m_.rx_packets.add(id_, batch.size());
 
   if (sync_ != nullptr && !batch.empty() && batch[0]->pool() != nullptr) {
     sync_pool_ = batch[0]->pool();
@@ -48,7 +107,6 @@ Cycles SprayerCore::process_rx(runtime::PacketBatch& batch, Time now) {
     const CoreId dest = picker_.pick_hash(hash::packet_flow_hash(*pkt));
     if (dest == id_) {
       conn_local.push(pkt);
-      ++stats_.conn_local;
     } else {
       cycles += costs.transfer_enqueue;
       runtime::PacketBatch& stage = transfer_stage_[dest];
@@ -58,6 +116,7 @@ Cycles SprayerCore::process_rx(runtime::PacketBatch& batch, Time now) {
     }
   }
 
+  m_.conn_local.add(id_, conn_local.size());
   if (!conn_local.empty()) cycles += dispatch(conn_local, now, true);
   if (!regular.empty()) cycles += dispatch(regular, now, false);
   // Replication: ship whatever the dispatches just logged before ringing
@@ -65,9 +124,7 @@ Cycles SprayerCore::process_rx(runtime::PacketBatch& batch, Time now) {
   if (sync_ != nullptr) cycles += harvest_state_sync();
   // One ring doorbell per destination for the whole batch.
   flush_transfers();
-
-  stats_.busy_cycles += cycles;
-  return cycles;
+  return busy(cycles);
 }
 
 Cycles SprayerCore::process_foreign(runtime::PacketBatch& batch, Time now) {
@@ -79,7 +136,7 @@ Cycles SprayerCore::process_foreign(runtime::PacketBatch& batch, Time now) {
     }
     cycles += absorb_sync_frames(batch);
   }
-  stats_.conn_foreign_in += batch.size();
+  m_.conn_foreign_in.add(id_, batch.size());
   if (!batch.empty()) cycles += dispatch(batch, now, true);
   if (sync_ != nullptr) {
     // The connection handlers that just ran may have logged mutations;
@@ -88,17 +145,18 @@ Cycles SprayerCore::process_foreign(runtime::PacketBatch& batch, Time now) {
     cycles += harvest_state_sync();
     flush_transfers();
   }
-  stats_.busy_cycles += cycles;
-  return cycles;
+  return busy(cycles);
 }
 
 void SprayerCore::housekeeping(Time now) {
   chain_.housekeeping(hop_ctxs_, now);
+  Cycles cycles = 0;
   if (sync_ != nullptr) {
-    stats_.busy_cycles += harvest_state_sync();
+    cycles += harvest_state_sync();
     flush_transfers();
   }
-  for (NfContext* ctx : hop_ctxs_) stats_.busy_cycles += ctx->drain_consumed();
+  for (NfContext* ctx : hop_ctxs_) cycles += ctx->drain_consumed();
+  busy(cycles);
 }
 
 Cycles SprayerCore::absorb_sync_frames(runtime::PacketBatch& batch) {
@@ -189,7 +247,7 @@ void SprayerCore::flush_transfer_stage(CoreId dest) {
   runtime::PacketBatch& stage = transfer_stage_[dest];
   PendingQueue& pending = transfer_pending_[dest];
   if (stage.empty() && pending.size() == 0) return;
-  tm_.flush_calls.add(tm_.shard, 1);
+  m_.flush_calls.add(id_, 1);
   const u32 pending_before = pending.size();
 
   // The parked backlog goes first: connection-packet order within a flow is
@@ -210,7 +268,7 @@ void SprayerCore::flush_transfer_stage(CoreId dest) {
                         pending.size() - pending_before);
       return;
     }
-    tm_.retry_rounds.record(tm_.shard, pending.rounds);
+    m_.retry_rounds.record(id_, pending.rounds);
     pending.rounds = 0;
   }
 
@@ -233,10 +291,7 @@ void SprayerCore::flush_transfer_stage(CoreId dest) {
 u32 SprayerCore::offer_with_spin(CoreId dest,
                                  std::span<net::Packet* const> pkts,
                                  bool is_retry) {
-  if (is_retry) {
-    stats_.transfer_retries += pkts.size();
-    tm_.retry_packets.add(tm_.shard, pkts.size());
-  }
+  u64 retried = is_retry ? pkts.size() : 0;
   u32 accepted = port_.transfer_batch(dest, pkts);
   // Bounded spin: a full ring usually means the consumer is one dequeue
   // away, so a couple of immediate re-offers often clear the remainder
@@ -245,12 +300,11 @@ u32 SprayerCore::offer_with_spin(CoreId dest,
        accepted < pkts.size() && spin < cfg_.transfer_retry_spin; ++spin) {
     cpu_relax();
     const auto rest = pkts.subspan(accepted);
-    stats_.transfer_retries += rest.size();
-    tm_.retry_packets.add(tm_.shard, rest.size());
+    retried += rest.size();
     accepted += port_.transfer_batch(dest, rest);
   }
-  stats_.conn_transferred_out += accepted;
-  tm_.flush_packets.add(tm_.shard, accepted);
+  if (retried > 0) m_.transfer_retries.add(id_, retried);
+  m_.conn_transferred_out.add(id_, accepted);
   return accepted;
 }
 
@@ -273,10 +327,7 @@ u32 SprayerCore::release_stranded() {
   }
   transfer_dirty_ = 0;
   pending_count_.store(0, std::memory_order_relaxed);
-  if (freed > 0) {
-    stats_.transfer_drops += freed;
-    tm_.flush_drops.add(tm_.shard, freed);
-  }
+  if (freed > 0) m_.transfer_drops.add(id_, freed);
   return freed;
 }
 
@@ -289,7 +340,7 @@ Cycles SprayerCore::dispatch(runtime::PacketBatch& batch, Time now,
   if (connection) {
     chain_.connection_pass(batch, scratch_, hop_ctxs_, now, drop_stage_);
   } else {
-    stats_.regular_packets += batch.size();
+    m_.regular_packets.add(id_, batch.size());
     chain_.regular_pass(batch, scratch_, hop_ctxs_, now, drop_stage_);
   }
   Cycles cycles = 0;
@@ -297,12 +348,12 @@ Cycles SprayerCore::dispatch(runtime::PacketBatch& batch, Time now,
   // Free drops and transmit survivors as whole batches (one pool bulk-free,
   // one sink invocation).
   if (!drop_stage_.empty()) {
-    stats_.nf_drops += drop_stage_.size();
+    m_.nf_drops.add(id_, drop_stage_.size());
     net::free_packets(drop_stage_.packets());
   }
   if (!batch.empty()) {
     cycles += costs.tx_per_packet * batch.size();
-    stats_.tx_packets += batch.size();
+    m_.tx_packets.add(id_, batch.size());
     port_.transmit_batch(batch.packets());
   }
   return cycles;

@@ -4,7 +4,8 @@
 // redirection, batched NF dispatch, verdict handling, cycle accounting —
 // with no knowledge of how it is driven. The simulator (core/middlebox.hpp)
 // and the threaded executor (core/threaded.hpp) both drive this class
-// through the ICorePort services interface.
+// through the ICorePort services interface. Its counts are cells of its
+// core's shard of the middlebox's metrics registry (EngineMetrics).
 #pragma once
 
 #include <atomic>
@@ -49,48 +50,48 @@ class ICorePort {
   virtual void transmit_batch(std::span<net::Packet* const> pkts) = 0;
 };
 
-/// Per-core counters. Each field is a single-writer relaxed cell (only the
-/// owning worker mutates it) so total_stats()/stats() may be read from any
-/// thread while workers run: values are untorn, loosely consistent across
-/// fields, exact at quiescence — the telemetry-cell discipline (DESIGN.md §9).
+/// One core's engine counts, read from the always-live registry cells named
+/// in the comments (one per core shard, written only by that core's engine;
+/// DESIGN.md §9). Readable from any thread while workers run: untorn,
+/// loosely consistent across fields, exact at quiescence.
 struct CoreStats {
-  RelaxedU64 rx_packets;         // polled from the NIC queue
-  RelaxedU64 regular_packets;    // handed to regular_packets()
-  RelaxedU64 conn_local;         // connection packets already on their core
-  RelaxedU64 conn_transferred_out;
-  RelaxedU64 conn_foreign_in;    // connection packets received over the ring
-  RelaxedU64 transfer_drops;     // conn descriptors lost (teardown only: the
-                                 // lossless redirect path retries, never drops)
-  RelaxedU64 transfer_retries;   // conn descriptors re-offered after a
-                                 // mesh-ring rejection (each offer counts)
-  RelaxedU64 nf_drops;           // NF verdict: drop
-  RelaxedU64 tx_packets;
-  RelaxedU64 busy_cycles;
-
-  void merge(const CoreStats& o) noexcept {
-    rx_packets += o.rx_packets;
-    regular_packets += o.regular_packets;
-    conn_local += o.conn_local;
-    conn_transferred_out += o.conn_transferred_out;
-    conn_foreign_in += o.conn_foreign_in;
-    transfer_drops += o.transfer_drops;
-    transfer_retries += o.transfer_retries;
-    nf_drops += o.nf_drops;
-    tx_packets += o.tx_packets;
-    busy_cycles += o.busy_cycles;
-  }
+  RelaxedU64 rx_packets;            // engine.rx_packets (NIC queue polls)
+  RelaxedU64 regular_packets;       // engine.regular_packets
+  RelaxedU64 conn_local;            // engine.conn_local (already on core)
+  RelaxedU64 conn_transferred_out;  // engine.transfer_flush_packets
+  RelaxedU64 conn_foreign_in;       // worker.foreign_packets (via the mesh)
+  RelaxedU64 transfer_drops;        // engine.transfer_flush_drops (teardown)
+  RelaxedU64 transfer_retries;      // engine.transfer_retry_packets (offers)
+  RelaxedU64 nf_drops;              // engine.nf_drops (NF verdict: drop)
+  RelaxedU64 tx_packets;            // engine.tx_packets
+  RelaxedU64 busy_cycles;           // engine.busy_cycles
 };
 
-/// Telemetry handles the executor hands one engine (all handles no-op when
-/// unset, so a SimMiddlebox-driven or telemetry-off engine pays nothing).
-struct EngineTelemetry {
-  u32 shard = 0;  // registry shard owned by this engine's worker
-  telemetry::Counter flush_calls;    // non-empty transfer-stage flushes
-  telemetry::Counter flush_packets;  // descriptors accepted by mesh rings
-  telemetry::Counter flush_drops;    // descriptors lost (teardown release only)
-  telemetry::Counter retry_packets;  // descriptors re-offered after rejection
-  telemetry::Counter pending_hwm;    // kGaugeMax: parked-descriptor backlog
+/// The engines' registry handles (each engine writes the shard of its core
+/// id): one per CoreStats field, always registered, plus extras that are
+/// no-op handles unless SprayerConfig::telemetry is on.
+struct EngineMetrics {
+  telemetry::Counter rx_packets;
+  telemetry::Counter regular_packets;
+  telemetry::Counter conn_local;
+  telemetry::Counter conn_transferred_out;
+  telemetry::Counter conn_foreign_in;
+  telemetry::Counter transfer_drops;
+  telemetry::Counter transfer_retries;
+  telemetry::Counter nf_drops;
+  telemetry::Counter tx_packets;
+  telemetry::Counter busy_cycles;
+  telemetry::Counter flush_calls;     // non-empty transfer-stage flushes
+  telemetry::Counter pending_hwm;     // kGaugeMax: parked-descriptor backlog
   telemetry::Histogram retry_rounds;  // flush rounds a parked cohort needed
+
+  /// Register the counts (and, with `extras`, the extras) in `reg` before
+  /// its finalize().
+  [[nodiscard]] static EngineMetrics register_in(
+      telemetry::MetricsRegistry& reg, bool extras);
+  /// The counts summed over shards [first_shard, first_shard + shards).
+  [[nodiscard]] CoreStats read(const telemetry::MetricsRegistry& reg,
+                               u32 first_shard, u32 shards) const noexcept;
 };
 
 class SprayerCore {
@@ -98,9 +99,11 @@ class SprayerCore {
   /// `hop_ctxs` holds one NfContext per chain hop, all for core `id`; the
   /// span (and its contexts) must outlive the engine. `stateless` disables
   /// connection-packet redirection (true only when every hop is stateless).
+  /// The engine counts through `metrics` into shard `id` of their registry.
   SprayerCore(CoreId id, const SprayerConfig& cfg, bool stateless,
               DynamicChain& chain, const CorePicker& picker,
-              std::span<NfContext* const> hop_ctxs, ICorePort& port)
+              std::span<NfContext* const> hop_ctxs, ICorePort& port,
+              const EngineMetrics& metrics)
       : id_(id),
         cfg_(cfg),
         stateless_(stateless),
@@ -108,6 +111,7 @@ class SprayerCore {
         picker_(picker),
         hop_ctxs_(hop_ctxs),
         port_(port),
+        m_(metrics),
         transfer_stage_(cfg.num_cores),
         transfer_pending_(cfg.num_cores) {
     SPRAYER_CHECK_MSG(cfg.num_cores <= 64,
@@ -117,10 +121,6 @@ class SprayerCore {
   }
 
   [[nodiscard]] CoreId id() const noexcept { return id_; }
-  [[nodiscard]] const CoreStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] CoreStats& stats() noexcept { return stats_; }
-
-  void set_telemetry(EngineTelemetry t) noexcept { tm_ = t; }
 
   /// Adaptive spraying: this core's heavy-hitter sketch, fed one update per
   /// polled rx packet with a memoized flow hash (single-writer: only this
@@ -183,7 +183,7 @@ class SprayerCore {
   }
 
   /// Teardown only: free every staged and parked descriptor (counted in
-  /// CoreStats::transfer_drops — the one place the lossless path may still
+  /// transfer_drops — the one place the lossless path may still
   /// lose packets, when the executor is stopped mid-overload). Returns how
   /// many were freed. Not thread-safe against a running worker.
   u32 release_stranded();
@@ -243,8 +243,11 @@ class SprayerCore {
 
   void set_pending_count(u32 n) noexcept {
     pending_count_.store(n, std::memory_order_relaxed);
-    if (n > 0) tm_.pending_hwm.record_max(tm_.shard, n);
+    if (n > 0) m_.pending_hwm.record_max(id_, n);
   }
+
+  /// Count `cycles` as busy time and pass them through.
+  Cycles busy(Cycles cycles) noexcept;
 
   CoreId id_;
   const SprayerConfig& cfg_;
@@ -253,8 +256,7 @@ class SprayerCore {
   const CorePicker& picker_;
   std::span<NfContext* const> hop_ctxs_;
   ICorePort& port_;
-  CoreStats stats_;
-  EngineTelemetry tm_;
+  EngineMetrics m_;
   HeavyHitterSketch* sketch_ = nullptr;
   telemetry::FlowRecorder* recorder_ = nullptr;
   state::SyncRuntime* sync_ = nullptr;

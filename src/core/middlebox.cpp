@@ -151,7 +151,7 @@ SimMiddlebox::SimMiddlebox(sim::Simulator& sim, SprayerConfig cfg,
     : MiddleboxSkeleton(cfg, std::move(owned), chain),
       sim_(sim),
       nic_(sim, adjust_nic_config(nic_cfg, cfg)) {
-  build(/*registry=*/nullptr, /*hop_timing=*/false);
+  build(/*telemetry_on=*/false, /*hop_timing=*/false);
   for (u32 c = 0; c < cfg_.num_cores; ++c) {
     cores_.push_back(std::make_unique<SimCore>(*this));
   }
@@ -178,7 +178,7 @@ void SimMiddlebox::transmit_out(net::Packet* pkt) {
 
 MiddleboxReport SimMiddlebox::report() const {
   MiddleboxReport r;
-  for (const auto& e : engines_) r.per_core.push_back(e->stats());
+  for (const auto& e : engines_) r.per_core.push_back(core_stats(e->id()));
   r.total = total_stats();
   r.nic = nic_.counters();
   for (u32 h = 0; h < num_hops(); ++h) {
@@ -191,7 +191,7 @@ MiddleboxReport SimMiddlebox::report() const {
 }
 
 void SimMiddlebox::reset_stats() {
-  for (auto& e : engines_) e->stats() = CoreStats{};
+  registry_.reset();
   nic_.reset_counters();
 }
 

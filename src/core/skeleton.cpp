@@ -6,6 +6,7 @@ MiddleboxSkeleton::MiddleboxSkeleton(SprayerConfig cfg,
                                      std::unique_ptr<DynamicChain> owned,
                                      DynamicChain* chain)
     : cfg_(cfg),
+      registry_(cfg.num_cores + 1),
       owned_chain_(std::move(owned)),
       chain_(chain != nullptr ? *chain : *owned_chain_),
       picker_(cfg.num_cores) {
@@ -14,8 +15,9 @@ MiddleboxSkeleton::MiddleboxSkeleton(SprayerConfig cfg,
 
 MiddleboxSkeleton::~MiddleboxSkeleton() = default;
 
-void MiddleboxSkeleton::build(telemetry::MetricsRegistry* registry,
-                              bool hop_timing) {
+void MiddleboxSkeleton::build(bool telemetry_on, bool hop_timing) {
+  engine_metrics_ = EngineMetrics::register_in(registry_, telemetry_on);
+  telemetry::MetricsRegistry* registry = telemetry_on ? &registry_ : nullptr;
   const u32 hops = chain_.num_hops();
   std::vector<NfInitConfig> hop_init(hops);
   for (auto& hc : hop_init) hc.registry = registry;
@@ -58,13 +60,14 @@ void MiddleboxSkeleton::build(telemetry::MetricsRegistry* registry,
       ctx_ptrs_.push_back(contexts_.back().get());
     }
   }
+  registry_.finalize();
 }
 
 SprayerCore& MiddleboxSkeleton::add_engine(ICorePort& port) {
   const auto core = static_cast<CoreId>(engines_.size());
   engines_.push_back(std::make_unique<SprayerCore>(
       core, cfg_, stateless_chain_, chain_, picker_, hop_contexts(core),
-      port));
+      port, engine_metrics_));
   engines_.back()->set_state_runtime(strategy_->sync_runtime(core));
   return *engines_.back();
 }
@@ -72,12 +75,6 @@ SprayerCore& MiddleboxSkeleton::add_engine(ICorePort& port) {
 FlowAccessStats MiddleboxSkeleton::access_stats() const {
   FlowAccessStats total;
   for (const auto& ctx : contexts_) total.merge(ctx->flows().access_stats());
-  return total;
-}
-
-CoreStats MiddleboxSkeleton::total_stats() const {
-  CoreStats total;
-  for (const auto& e : engines_) total.merge(e->stats());
   return total;
 }
 

@@ -1,11 +1,11 @@
 // The per-core Sprayer framework both executors drive (paper §3, Fig. 4):
 // the chain and its init, the core picker, the state strategy with its
-// per-(hop, core) flow tables, one NfContext per (core, hop), and one
-// SprayerCore engine per core. This is the one place a SprayerConfig plus a
-// DynamicChain becomes per-core machinery. SimMiddlebox (core/middlebox.hpp)
-// and ThreadedMiddlebox (core/threaded.hpp) derive from it and add only
-// what drives the cores: the simulator's event loop, or the threads, rings,
-// driver and telemetry.
+// per-(hop, core) flow tables, one NfContext per (core, hop), one SprayerCore
+// engine per core, and the metrics registry that holds every engine count.
+// This is the one place a SprayerConfig plus a DynamicChain becomes per-core
+// machinery. SimMiddlebox (core/middlebox.hpp) and ThreadedMiddlebox
+// (core/threaded.hpp) derive from it and add only what drives the cores:
+// the simulator's event loop, or the threads, rings, driver and telemetry.
 #pragma once
 
 #include <memory>
@@ -56,14 +56,25 @@ class MiddleboxSkeleton {
   /// Aggregate observed flow-state access pattern across all cores and hops.
   [[nodiscard]] FlowAccessStats access_stats() const;
 
-  /// One core's counters (read when the cores are idle for exact values).
-  [[nodiscard]] const CoreStats& core_stats(CoreId core) const noexcept {
-    return engines_[core]->stats();
+  /// One core's engine counts: a read of its registry shard (exact when
+  /// the cores are idle).
+  [[nodiscard]] CoreStats core_stats(CoreId core) const noexcept {
+    return engine_metrics_.read(registry_, core, 1);
   }
-  [[nodiscard]] CoreStats total_stats() const;
+  [[nodiscard]] CoreStats total_stats() const noexcept {
+    return engine_metrics_.read(registry_, 0, cfg_.num_cores);
+  }
   /// Connection-packet descriptors currently parked engine-side awaiting a
   /// mesh-ring retry, summed over cores.
   [[nodiscard]] u32 pending_transfers() const noexcept;
+
+  /// The metrics registry, always live: shard c is core c's, shard
+  /// num_cores the threaded driver's. It always holds the engine and shed
+  /// counts; SprayerConfig::telemetry adds everything else. Non-const so
+  /// callers can attach gauge_fn() probes (e.g. packet-pool cache stats).
+  [[nodiscard]] telemetry::MetricsRegistry& metrics() noexcept {
+    return registry_;
+  }
 
  protected:
   /// `owned` is the single-NF convenience chain (null when the caller
@@ -72,10 +83,11 @@ class MiddleboxSkeleton {
                     DynamicChain* chain);
   ~MiddleboxSkeleton();
 
-  /// Run the chain's init (NF and chain metrics register in `registry`
-  /// when non-null), then build every hop's tables through the state
-  /// strategy and every core's hop contexts. Call once, before add_engine.
-  void build(telemetry::MetricsRegistry* registry, bool hop_timing);
+  /// Register the engine counts (with `telemetry_on`, also the engine
+  /// extras and the chain's metrics), run the chain's init, build every
+  /// hop's tables and every core's hop contexts, and finalize the registry.
+  /// Call once, after the executor's own registrations, before add_engine.
+  void build(bool telemetry_on, bool hop_timing);
 
   /// Build the engine of core engines_.size() on `port` (call once per
   /// core, in core order) and attach its replication runtime, if any.
@@ -88,6 +100,8 @@ class MiddleboxSkeleton {
   }
 
   SprayerConfig cfg_;
+  telemetry::MetricsRegistry registry_;  // before the engines (handle target)
+  EngineMetrics engine_metrics_;
   std::unique_ptr<DynamicChain> owned_chain_;  // before chain_ (ref target)
   DynamicChain& chain_;
   bool stateless_chain_ = false;  // every hop stateless: never redirect

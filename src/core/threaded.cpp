@@ -62,25 +62,21 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
                                      std::unique_ptr<DynamicChain> owned,
                                      DynamicChain* chain, TxBatchHandler tx)
     : MiddleboxSkeleton(cfg, std::move(owned), chain), tx_(std::move(tx)),
-      rss_(cfg.num_cores), registry_(cfg.num_cores + 1),
-      collector_(registry_) {
+      rss_(cfg.num_cores), collector_(registry_) {
   SPRAYER_CHECK(tx_ != nullptr);
   SPRAYER_CHECK_MSG(cfg_.rx_batch >= 1 &&
                         cfg_.rx_batch <= runtime::kMaxBatchSize,
                     "rx_batch must fit in a PacketBatch");
 
   // Shards 0..num_cores-1 are the workers; shard num_cores is the driver.
-  // Framework metrics first, then the chain's NFs register their own
-  // during init(), then one finalize() lays out the slabs.
-  EngineTelemetry engine_tm;
+  // Framework metrics first, then build() registers the engine counts and
+  // the chain's NF metrics and finalizes the registry.
+  tm_.shed_regular = registry_.counter("driver.shed_regular");
+  tm_.shed_conn = registry_.counter("driver.shed_conn");
   if (cfg_.telemetry) {
     tm_.packets = registry_.counter("worker.packets");
     tm_.batches = registry_.counter("worker.batches");
-    tm_.foreign_packets = registry_.counter("worker.foreign_packets");
     tm_.injected = registry_.counter("driver.injected");
-    tm_.inject_drops = registry_.counter("driver.rx_ring_drops");
-    tm_.shed_regular = registry_.counter("driver.shed_regular");
-    tm_.shed_conn = registry_.counter("driver.shed_conn");
     tm_.block_spins = registry_.counter("driver.block_spins");
     tm_.rx_ring_hwm = registry_.gauge("rx_ring.occupancy_hwm",
                                       telemetry::MetricKind::kGaugeMax);
@@ -88,16 +84,6 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
                                         telemetry::MetricKind::kGaugeMax);
     tm_.batch_size = registry_.histogram("worker.batch_size", 5);
     tm_.queue_delay_ns = registry_.histogram("rx.queue_delay_ns", 5);
-    engine_tm.flush_calls = registry_.counter("engine.transfer_flush_calls");
-    engine_tm.flush_packets =
-        registry_.counter("engine.transfer_flush_packets");
-    engine_tm.flush_drops = registry_.counter("engine.transfer_flush_drops");
-    engine_tm.retry_packets =
-        registry_.counter("engine.transfer_retry_packets");
-    engine_tm.pending_hwm = registry_.gauge(
-        "engine.transfer_pending_hwm", telemetry::MetricKind::kGaugeMax);
-    engine_tm.retry_rounds =
-        registry_.histogram("engine.transfer_retry_rounds", 5);
   }
   if (cfg_.adaptive.enabled) {
     SPRAYER_CHECK_MSG(cfg_.mode == DispatchMode::kSpray,
@@ -124,8 +110,7 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
     tracer_->register_metrics(registry_);
   }
 
-  build(cfg_.telemetry ? &registry_ : nullptr, cfg_.chain_hop_timing);
-  if (cfg_.telemetry) registry_.finalize();
+  build(cfg_.telemetry, cfg_.chain_hop_timing);
   if (cfg_.reorder_observatory) {
     reorder_ = std::make_unique<telemetry::ReorderObservatory>();
   }
@@ -196,10 +181,6 @@ ThreadedMiddlebox::ThreadedMiddlebox(SprayerConfig cfg,
       port = fault_ports_.back().get();
     }
     SprayerCore& engine = add_engine(*port);
-    if (cfg_.telemetry) {
-      engine_tm.shard = c;
-      engine.set_telemetry(engine_tm);
-    }
     if (adaptive_ != nullptr) engine.set_flow_sketch(&adaptive_->sketch(c));
     if (live_ != nullptr) engine.set_flow_recorder(recorders_[c].get());
     rx_rings_.push_back(std::make_unique<Ring>(cfg_.rx_ring_capacity));
@@ -294,7 +275,7 @@ void ThreadedMiddlebox::stop() {
   }
   // Descriptors the flush above could not place (mesh was full even after
   // parking) are freed here — the only point the lossless path gives up,
-  // counted in CoreStats::transfer_drops.
+  // counted in transfer_drops.
   for (auto& engine : engines_) engine->release_stranded();
   // Workers are quiescent: harvest the last deltas and close out every
   // live flow with a reason="final" record plus a final snapshot line.
@@ -356,11 +337,25 @@ u32 ThreadedMiddlebox::inject_bulk(std::span<net::Packet* const> pkts) {
   u64 shed_reg = 0;
   u64 shed_cn = 0;
   u64 spins = 0;
+  const auto is_conn = [this](net::Packet* pkt) {
+    return !stateless_chain_ && pkt->is_connection_packet();
+  };
+  // One doorbell for `stage`; whatever the full ring rejects is dropped and
+  // counted by class.
+  const auto push_or_drop = [&](Ring& ring,
+                                std::span<net::Packet* const> stage) {
+    const u32 n = ring.push_bulk(stage);
+    accepted += n;
+    if (SPRAYER_UNLIKELY(n < stage.size())) {
+      const auto rejected = stage.subspan(n);
+      for (net::Packet* pkt : rejected) ++(is_conn(pkt) ? shed_cn : shed_reg);
+      net::free_packets(rejected);
+    }
+  };
   for (u32 q = 0; q < cfg_.num_cores; ++q) {
     auto& group = inject_stage_[q];
     if (group.empty()) continue;
     Ring& ring = *rx_rings_[q];
-    const auto span = std::span<net::Packet* const>{group};
     // Fast path — one doorbell for the whole group when no class-aware
     // decision is needed: kDropNew always, kDropRegularFirst when the
     // group fits entirely under the watermark (the single-producer
@@ -368,17 +363,7 @@ u32 ThreadedMiddlebox::inject_bulk(std::span<net::Packet* const> pkts) {
     if (cfg_.overload_policy == OverloadPolicy::kDropNew ||
         (cfg_.overload_policy == OverloadPolicy::kDropRegularFirst &&
          ring.size_approx() + group.size() <= rx_shed_threshold_)) {
-      const u32 n = ring.push_bulk(span);
-      accepted += n;
-      if (SPRAYER_UNLIKELY(n < group.size())) {
-        const auto rejected = span.subspan(n);
-        for (net::Packet* pkt : rejected) {
-          const bool conn = !stateless_chain_ && pkt->is_tcp() &&
-                            pkt->is_connection_packet();
-          ++(conn ? shed_cn : shed_reg);
-        }
-        net::free_packets(rejected);
-      }
+      push_or_drop(ring, group);
       continue;
     }
     // Watermark slow path — still one doorbell per group: walk the group in
@@ -390,9 +375,7 @@ u32 ThreadedMiddlebox::inject_bulk(std::span<net::Packet* const> pkts) {
       shed_scratch_.clear();
       const u32 occupancy = static_cast<u32>(ring.size_approx());
       for (net::Packet* pkt : group) {
-        const bool conn = !stateless_chain_ && pkt->is_tcp() &&
-                          pkt->is_connection_packet();
-        if (!conn &&
+        if (!is_conn(pkt) &&
             occupancy + admit_scratch_.size() >= rx_shed_threshold_) {
           ++shed_reg;
           shed_scratch_.push_back(pkt);
@@ -400,18 +383,7 @@ u32 ThreadedMiddlebox::inject_bulk(std::span<net::Packet* const> pkts) {
           admit_scratch_.push_back(pkt);
         }
       }
-      const auto stage = std::span<net::Packet* const>{admit_scratch_};
-      const u32 n = ring.push_bulk(stage);
-      accepted += n;
-      if (SPRAYER_UNLIKELY(n < stage.size())) {
-        const auto rejected = stage.subspan(n);
-        for (net::Packet* pkt : rejected) {
-          const bool conn = !stateless_chain_ && pkt->is_tcp() &&
-                            pkt->is_connection_packet();
-          ++(conn ? shed_cn : shed_reg);
-        }
-        net::free_packets(rejected);
-      }
+      push_or_drop(ring, admit_scratch_);
       if (!shed_scratch_.empty()) net::free_packets(shed_scratch_);
       continue;
     }
@@ -419,23 +391,15 @@ u32 ThreadedMiddlebox::inject_bulk(std::span<net::Packet* const> pkts) {
     for (net::Packet* pkt : group) push_blocking(ring, pkt, spins);
     accepted += static_cast<u32>(group.size());
   }
-  if (shed_reg + shed_cn > 0) {
-    shed_regular_.fetch_add(shed_reg, std::memory_order_relaxed);
-    shed_conn_.fetch_add(shed_cn, std::memory_order_relaxed);
+  registry_.begin_update(driver_shard());
+  tm_.injected.add(driver_shard(), accepted);
+  if (shed_reg > 0) tm_.shed_regular.add(driver_shard(), shed_reg);
+  if (shed_cn > 0) tm_.shed_conn.add(driver_shard(), shed_cn);
+  if (spins > 0) tm_.block_spins.add(driver_shard(), spins);
+  if (tracer_ != nullptr && tracer_->has_driver_samples()) {
+    tracer_->flush_driver(driver_shard());
   }
-  if (cfg_.telemetry) {
-    registry_.begin_update(driver_shard());
-    tm_.injected.add(driver_shard(), accepted);
-    tm_.inject_drops.add(driver_shard(),
-                         static_cast<u64>(pkts.size()) - accepted);
-    if (shed_reg > 0) tm_.shed_regular.add(driver_shard(), shed_reg);
-    if (shed_cn > 0) tm_.shed_conn.add(driver_shard(), shed_cn);
-    if (spins > 0) tm_.block_spins.add(driver_shard(), spins);
-    if (tracer_ != nullptr && tracer_->has_driver_samples()) {
-      tracer_->flush_driver(driver_shard());
-    }
-    registry_.end_update(driver_shard());
-  }
+  registry_.end_update(driver_shard());
   return accepted;
 }
 
@@ -498,56 +462,55 @@ bool ThreadedMiddlebox::worker_body(CoreId core) {
     }
     batch.set_size(batch.size() + got);
   }
+  const bool foreign = !batch.empty();
+  if (!foreign) {
+    batch.set_size(rx_rings_[core]->pop_bulk(
+        std::span<net::Packet*>{batch.data(), cfg_.rx_batch}));
+    if (!batch.empty()) {
+      tm_.rx_ring_hwm.record_max(
+          core, batch.size() + rx_rings_[core]->size_approx());
+    }
+  }
   if (!batch.empty()) {
     if (now == 0) now = steady_now();
+    // Read the driver's stamp before the engine consumes (frees) the
+    // packets.
+    const Time stamped = batch[0]->ts_rx;
     registry_.begin_update(core);
-    engines_[core]->process_foreign(batch, now);
-    // process_foreign() stages nothing, but a backlog parked by an earlier
-    // rx batch must still get its retry this iteration (a worker can serve
-    // foreign traffic exclusively for a while under overload).
-    if (engines_[core]->pending_transfers() != 0) {
-      engines_[core]->flush_transfers();
-    }
+    // Count what was polled before the engine consumes the batch (NF drops
+    // and sync frames compact it).
     tm_.packets.add(core, batch.size());
-    tm_.foreign_packets.add(core, batch.size());
     tm_.batches.add(core, 1);
     tm_.batch_size.record(core, batch.size());
-    registry_.end_update(core);
-    did_work = true;
-  } else {
-    const u32 n = rx_rings_[core]->pop_bulk(
-        std::span<net::Packet*>{batch.data(), cfg_.rx_batch});
-    if (n > 0) {
-      batch.set_size(n);
-      tm_.rx_ring_hwm.record_max(core, n + rx_rings_[core]->size_approx());
-      if (now == 0) now = steady_now();
-      // Read the driver's stamp before the engine consumes (frees) the
-      // packets.
-      const Time stamped = batch[0]->ts_rx;
-      registry_.begin_update(core);
+    if (foreign) {
+      engines_[core]->process_foreign(batch, now);
+      // process_foreign() stages nothing, but a backlog parked by an
+      // earlier rx batch must still get its retry this iteration (a worker
+      // can serve foreign traffic exclusively for a while under overload).
+      if (engines_[core]->pending_transfers() != 0) {
+        engines_[core]->flush_transfers();
+      }
+    } else {
       // Close the rx-ring queue stage for traced packets before the engine
       // consumes the batch (re-stamps them for the NF stage).
       if (tracer_ != nullptr) tracer_->record_queue(batch.packets(), core, now);
       engines_[core]->process_rx(batch, now);
-      tm_.packets.add(core, n);
-      tm_.batches.add(core, 1);
-      tm_.batch_size.record(core, n);
       if (stamped != 0 && now > stamped) {
         tm_.queue_delay_ns.record(core, (now - stamped) / kNanosecond);
       }
-      registry_.end_update(core);
-      did_work = true;
-    } else {
-      // Idle: make sure nothing is stranded in a staging buffer (no-op in
-      // the common case — process_rx flushes at batch end). Only a parked
-      // backlog makes this flush update counters, so only then is a
-      // seqlock window worth opening (bracketing every idle spin would
-      // keep the shard sequence moving and starve consistent snapshots).
-      const bool retrying = engines_[core]->pending_transfers() != 0;
-      if (retrying) registry_.begin_update(core);
-      engines_[core]->flush_transfers();
-      if (retrying) registry_.end_update(core);
     }
+    registry_.end_update(core);
+    did_work = true;
+  } else {
+    // Idle: make sure nothing is stranded in a staging buffer (no-op in
+    // the common case — process_rx flushes at batch end). Only a parked
+    // backlog makes this flush update counters, so only then is a seqlock
+    // window worth opening (bracketing every idle spin would keep the
+    // shard sequence moving and starve consistent snapshots).
+    const bool retrying = engines_[core]->pending_transfers() != 0;
+    if (retrying) registry_.begin_update(core);
+    engines_[core]->flush_transfers();
+    if (retrying) registry_.end_update(core);
   }
   busy_workers_.fetch_sub(1, std::memory_order_acq_rel);
   return did_work;
@@ -575,9 +538,7 @@ void ThreadedMiddlebox::wait_idle() const {
     // Parked redirect descriptors are invisible to the rings but are still
     // in flight: a worker between iterations may hold a backlog the
     // destination has yet to make room for.
-    for (const auto& e : engines_) {
-      if (e->pending_transfers() != 0) return false;
-    }
+    if (pending_transfers() != 0) return false;
     return busy_workers_.load(std::memory_order_acquire) == 0;
   };
   // Require the condition to hold across two samples: a worker could be

@@ -94,12 +94,13 @@ class ThreadedMiddlebox final : public MiddleboxSkeleton {
   }
   /// Class-split of rx_ring_drops(): regular packets shed at the rx
   /// boundary vs connection packets dropped there (the latter only when
-  /// even the reserved headroom is exhausted, or under kDropNew).
+  /// even the reserved headroom is exhausted, or under kDropNew): the
+  /// driver shard's driver.shed_regular / driver.shed_conn cells.
   [[nodiscard]] u64 shed_regular() const noexcept {
-    return shed_regular_.load(std::memory_order_relaxed);
+    return registry_.read(tm_.shed_regular, driver_shard());
   }
   [[nodiscard]] u64 shed_conn() const noexcept {
-    return shed_conn_.load(std::memory_order_relaxed);
+    return registry_.read(tm_.shed_conn, driver_shard());
   }
   /// transfer_batch calls the fault-injection schedule truncated (0 when
   /// SprayerConfig::transfer_fault is disabled).
@@ -110,14 +111,7 @@ class ThreadedMiddlebox final : public MiddleboxSkeleton {
   }
 
   // --- runtime telemetry ------------------------------------------------
-  /// The middlebox's metrics registry: shards 0..num_cores-1 belong to the
-  /// workers, shard num_cores to the injection driver. Finalized (live)
-  /// only when SprayerConfig::telemetry is on; NF metrics registered during
-  /// init() land here too. Exposed non-const so callers can attach
-  /// gauge_fn() probes (e.g. packet-pool cache stats).
-  [[nodiscard]] telemetry::MetricsRegistry& metrics() noexcept {
-    return registry_;
-  }
+  /// The metrics() shard the injection driver writes.
   [[nodiscard]] u32 driver_shard() const noexcept { return cfg_.num_cores; }
 
   /// Collect one epoch snapshot (see telemetry/snapshot.hpp for the
@@ -212,13 +206,12 @@ class ThreadedMiddlebox final : public MiddleboxSkeleton {
   /// the ring has room; accumulates spin iterations into `spins`.
   void push_blocking(Ring& ring, net::Packet* pkt, u64& spins);
 
-  /// Framework-level metric handles (all no-ops when telemetry is off).
+  /// Framework-level metric handles: the shed counts are always live, the
+  /// rest are no-ops when telemetry is off.
   struct FrameworkTelemetry {
-    telemetry::Counter packets;          // per worker: rx + foreign
+    telemetry::Counter packets;          // per worker: descriptors polled
     telemetry::Counter batches;          // per worker: batches processed
-    telemetry::Counter foreign_packets;  // per worker: via the mesh
     telemetry::Counter injected;         // driver shard
-    telemetry::Counter inject_drops;     // driver shard: rx ring full
     telemetry::Counter shed_regular;     // driver shard: watermark sheds
     telemetry::Counter shed_conn;        // driver shard: conn-packet drops
     telemetry::Counter block_spins;      // driver shard: kBlock wait loops
@@ -247,7 +240,6 @@ class ThreadedMiddlebox final : public MiddleboxSkeleton {
   std::vector<std::unique_ptr<Ring>> rx_rings_;
   std::vector<std::vector<std::unique_ptr<Ring>>> mesh_;
 
-  telemetry::MetricsRegistry registry_;
   telemetry::SnapshotCollector collector_;
   FrameworkTelemetry tm_;
   std::unique_ptr<telemetry::ReorderObservatory> reorder_;
@@ -270,8 +262,6 @@ class ThreadedMiddlebox final : public MiddleboxSkeleton {
   // Occupancy above which kDropRegularFirst sheds regular packets
   // (precomputed from rx_ring_capacity * rx_shed_watermark).
   u32 rx_shed_threshold_ = 0;
-  std::atomic<u64> shed_regular_{0};
-  std::atomic<u64> shed_conn_{0};
   std::atomic<u32> busy_workers_{0};
   bool started_ = false;
 };

@@ -53,7 +53,6 @@ class ReplOpLog {
       return;
     }
     ops_.push_back({key, hash, hop, ReplOpKind::kUpsert, created});
-    ++logged_;
   }
 
   /// Record a remove. An entry created since the last harvest never reached
@@ -65,15 +64,12 @@ class ReplOpLog {
       return;
     }
     ops_.push_back({key, hash, hop, ReplOpKind::kRemove});
-    ++logged_;
   }
 
   [[nodiscard]] bool empty() const noexcept { return ops_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return ops_.size(); }
   [[nodiscard]] std::span<const ReplOp> ops() const noexcept { return ops_; }
   void clear() noexcept { ops_.clear(); }
-  /// Lifetime count of logged ops (dedup-suppressed ones excluded).
-  [[nodiscard]] u64 logged() const noexcept { return logged_; }
 
  private:
   /// The key+hop's most recent op, or end() when none is logged.
@@ -86,7 +82,6 @@ class ReplOpLog {
   }
 
   std::vector<ReplOp> ops_;
-  u64 logged_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -165,7 +165,6 @@ void LiveExporter::sweep(Time now, u32 budget, bool final_pass) {
 }
 
 void LiveExporter::emit_snapshot(Time now, bool final_pass) {
-  if (!registry_.finalized()) return;
   TelemetrySnapshot snap = collector_.collect();
   // Counters are monotonic per cell; two snapshots from one collector must
   // never show a counter total going backwards.

@@ -15,8 +15,9 @@
 // x86, once per *batch*, not per packet); the snapshot collector retries a
 // shard whose sequence moved mid-copy. Registration is two-phase: declare
 // metrics, then finalize() once to lay out the shard slabs; handles taken
-// before finalize() (or from a registry that is never finalized — telemetry
-// disabled) degrade to no-ops.
+// before finalize() (or from a registry that is never finalized) and
+// default-constructed handles (metrics that were never registered) degrade
+// to no-ops.
 #pragma once
 
 #include <functional>
@@ -120,7 +121,6 @@ class MetricsRegistry {
   /// metrics is rejected afterwards. A registry that is never finalized
   /// leaves all its handles as no-ops (telemetry disabled).
   void finalize();
-  [[nodiscard]] bool finalized() const noexcept { return finalized_; }
   [[nodiscard]] u32 num_shards() const noexcept { return num_shards_; }
 
   // --- writer-side epoch window ------------------------------------------
@@ -129,7 +129,6 @@ class MetricsRegistry {
   // is open or the sequence moved during its copy.
 
   void begin_update(u32 shard) noexcept {
-    if (!finalized_) return;
     SPRAYER_DCHECK(shard < num_shards_);
     auto& s = seqs_[shard].seq;
     s.store(s.load(std::memory_order_relaxed) + 1,
@@ -137,7 +136,6 @@ class MetricsRegistry {
     std::atomic_thread_fence(std::memory_order_release);
   }
   void end_update(u32 shard) noexcept {
-    if (!finalized_) return;
     SPRAYER_DCHECK(shard < num_shards_);
     auto& s = seqs_[shard].seq;
     std::atomic_thread_fence(std::memory_order_release);
@@ -221,13 +219,24 @@ class MetricsRegistry {
     return seqs_[shard].seq;
   }
 
-  /// Cross-shard sum of one scalar handle (the NF accessor-shim read path;
-  /// racy-but-atomic, each cell monotonic for counters).
+  /// One shard's cell of a scalar handle (racy-but-atomic: untorn, and
+  /// monotonic for counters).
+  [[nodiscard]] u64 read(const Counter& c, u32 shard) const noexcept {
+    return c.reg_ == this ? scalar_cell(shard, c.slot_) : 0;
+  }
+  /// Cross-shard sum of one scalar handle (same read contract).
   [[nodiscard]] u64 read_total(const Counter& c) const noexcept {
-    if (c.reg_ != this || !finalized_) return 0;
     u64 total = 0;
-    for (u32 s = 0; s < num_shards_; ++s) total += scalar_cell(s, c.slot_);
+    for (u32 s = 0; s < num_shards_; ++s) total += read(c, s);
     return total;
+  }
+
+  /// Zero every cell by laying out fresh slabs (handles address cells by
+  /// slot). Only valid while no other thread touches the registry.
+  void reset() {
+    SPRAYER_CHECK_MSG(finalized_, "reset() before finalize()");
+    finalized_ = false;
+    finalize();
   }
 
  private:
@@ -311,22 +320,6 @@ class RegistrySlot {
  private:
   MetricsRegistry* reg_ = nullptr;
   std::unique_ptr<MetricsRegistry> own_;
-};
-
-/// RAII begin_update/end_update window.
-class UpdateScope {
- public:
-  UpdateScope(MetricsRegistry& reg, u32 shard) noexcept
-      : reg_(reg), shard_(shard) {
-    reg_.begin_update(shard_);
-  }
-  ~UpdateScope() { reg_.end_update(shard_); }
-  UpdateScope(const UpdateScope&) = delete;
-  UpdateScope& operator=(const UpdateScope&) = delete;
-
- private:
-  MetricsRegistry& reg_;
-  u32 shard_;
 };
 
 }  // namespace sprayer::telemetry

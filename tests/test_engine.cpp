@@ -78,6 +78,8 @@ struct EngineBench {
   RecordingNf nf;
   DynamicChain chain{nf};
   MockPort port;
+  telemetry::MetricsRegistry registry{kCores + 1};
+  EngineMetrics metrics;
   std::unique_ptr<NfContext> ctx;
   std::vector<NfContext*> ctx_ptrs;
   std::unique_ptr<SprayerCore> engine;
@@ -94,9 +96,16 @@ struct EngineBench {
     ctx = std::make_unique<NfContext>(
         id, std::span<FlowTable* const>{table_ptrs}, picker, cfg.costs);
     ctx_ptrs.push_back(ctx.get());
+    metrics = EngineMetrics::register_in(registry, /*extras=*/false);
+    registry.finalize();
     engine = std::make_unique<SprayerCore>(
         id, cfg, stateless, chain, picker,
-        std::span<NfContext* const>{ctx_ptrs}, port);
+        std::span<NfContext* const>{ctx_ptrs}, port, metrics);
+  }
+
+  /// The engine's counts, read from its registry shard.
+  [[nodiscard]] CoreStats stats() const {
+    return metrics.read(registry, core_id, 1);
   }
 
   net::Packet* make(const net::FiveTuple& t, u8 flags) {
@@ -151,8 +160,8 @@ TEST(Engine, ConnectionPacketsRedirectedToDesignatedCore) {
   ASSERT_EQ(b.port.transferred.size(), 2u);
   EXPECT_EQ(b.port.transferred[0].first, 3);
   EXPECT_EQ(b.port.transferred[1].first, 3);
-  EXPECT_EQ(b.engine->stats().conn_local, 1u);
-  EXPECT_EQ(b.engine->stats().conn_transferred_out, 2u);
+  EXPECT_EQ(b.stats().conn_local, 1u);
+  EXPECT_EQ(b.stats().conn_transferred_out, 2u);
   for (auto& [core, p] : b.port.transferred) b.pool.free(p);
   for (net::Packet* p : b.port.transmitted) b.pool.free(p);
 }
@@ -166,23 +175,23 @@ TEST(Engine, TransferRejectionParksAndRetriesLosslessly) {
 
   // The rejected descriptor is parked, not freed: transfer_drops stays
   // zero and the packet is still owned by the engine.
-  EXPECT_EQ(b.engine->stats().transfer_drops, 0u);
+  EXPECT_EQ(b.stats().transfer_drops, 0u);
   EXPECT_EQ(b.engine->pending_transfers(), 1u);
-  EXPECT_GT(b.engine->stats().transfer_retries, 0u);
+  EXPECT_GT(b.stats().transfer_retries, 0u);
   EXPECT_EQ(b.pool.available(), b.pool.size() - 1);
 
   // Several more flush rounds against a still-full ring keep it parked.
   b.engine->flush_transfers();
   b.engine->flush_transfers();
   EXPECT_EQ(b.engine->pending_transfers(), 1u);
-  EXPECT_EQ(b.engine->stats().transfer_drops, 0u);
-  EXPECT_EQ(b.engine->stats().conn_transferred_out, 0u);
+  EXPECT_EQ(b.stats().transfer_drops, 0u);
+  EXPECT_EQ(b.stats().conn_transferred_out, 0u);
 
   // Once the destination has room again the backlog is delivered.
   b.port.reject_transfers = false;
   b.engine->flush_transfers();
   EXPECT_EQ(b.engine->pending_transfers(), 0u);
-  EXPECT_EQ(b.engine->stats().conn_transferred_out, 1u);
+  EXPECT_EQ(b.stats().conn_transferred_out, 1u);
   ASSERT_EQ(b.port.transferred.size(), 1u);
   EXPECT_EQ(b.port.transferred[0].first, 1);
   for (auto& [core, p] : b.port.transferred) b.pool.free(p);
@@ -222,7 +231,7 @@ TEST(Engine, RetryPreservesOrderAndReleaseStrandedFrees) {
   EXPECT_EQ(b.engine->pending_transfers(), 1u);
   EXPECT_EQ(b.engine->release_stranded(), 1u);
   EXPECT_EQ(b.engine->pending_transfers(), 0u);
-  EXPECT_EQ(b.engine->stats().transfer_drops, 1u);
+  EXPECT_EQ(b.stats().transfer_drops, 1u);
   EXPECT_EQ(b.pool.available(), b.pool.size());
 }
 
@@ -234,7 +243,7 @@ TEST(Engine, ForeignBatchGoesToConnectionHandler) {
   (void)b.engine->process_foreign(batch, 0);
 
   EXPECT_EQ(b.nf.conn_seen, 2u);
-  EXPECT_EQ(b.engine->stats().conn_foreign_in, 2u);
+  EXPECT_EQ(b.stats().conn_foreign_in, 2u);
   EXPECT_EQ(b.port.transmitted.size(), 2u);
   for (net::Packet* p : b.port.transmitted) b.pool.free(p);
 }
@@ -262,7 +271,7 @@ TEST(Engine, VerdictDropsAreFreedAndCounted) {
   batch.push(b.make(b.tuple_for_core(1, 7), net::TcpFlags::kAck));
   (void)b.engine->process_rx(batch, 0);
 
-  EXPECT_EQ(b.engine->stats().nf_drops, 1u);
+  EXPECT_EQ(b.stats().nf_drops, 1u);
   EXPECT_EQ(b.port.transmitted.size(), 1u);
   for (net::Packet* p : b.port.transmitted) b.pool.free(p);
   EXPECT_EQ(b.pool.available(), b.pool.size());

@@ -4,16 +4,23 @@
 // ThreadedMiddlebox.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
+#include "core/middlebox.hpp"
 #include "core/threaded.hpp"
 #include "net/packet_builder.hpp"
+#include "nf/firewall.hpp"
 #include "nf/synthetic.hpp"
+#include "nic/pktgen.hpp"
+#include "sim/link.hpp"
+#include "sim/simulator.hpp"
 #include "telemetry/json_exporter.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/reorder.hpp"
@@ -138,6 +145,18 @@ TEST(MetricsRegistry, ShardedCountersSumAndGaugesMerge) {
   ASSERT_NE(sh, nullptr);
   EXPECT_EQ(sh->merged.count(), 3u);
   EXPECT_GE(sh->merged.max(), 300u);
+  EXPECT_EQ(reg.read(c, 1), 7u);
+
+  // reset() (writers quiescent) zeroes every cell and bucket.
+  reg.reset();
+  EXPECT_EQ(reg.read_total(c), 0u);
+  const TelemetrySnapshot zero = col.collect();
+  for (const auto& sc_zero : zero.scalars) {
+    if (sc_zero.kind != MetricKind::kGaugeFn) {
+      EXPECT_EQ(sc_zero.total, 0u) << sc_zero.name;
+    }
+  }
+  EXPECT_EQ(zero.find_histogram("h")->merged.count(), 0u);
 }
 
 TEST(MetricsRegistry, UnfinalizedRegistryIsInertNotBroken) {
@@ -426,7 +445,187 @@ TEST(ThreadedTelemetry, SprayReordersRssDoesNot) {
   EXPECT_EQ(rss.reorder.ooo_packets, 0u);
 }
 
-TEST(ThreadedTelemetry, DisabledTelemetryReportsNothing) {
+// --- one store for the engine and driver counts -----------------------------
+
+/// Each CoreStats field and the registry cell it reads.
+struct CountField {
+  const char* name;
+  RelaxedU64 CoreStats::*field;
+};
+constexpr CountField kCountFields[] = {
+    {"engine.rx_packets", &CoreStats::rx_packets},
+    {"engine.regular_packets", &CoreStats::regular_packets},
+    {"engine.conn_local", &CoreStats::conn_local},
+    {"engine.transfer_flush_packets", &CoreStats::conn_transferred_out},
+    {"worker.foreign_packets", &CoreStats::conn_foreign_in},
+    {"engine.transfer_flush_drops", &CoreStats::transfer_drops},
+    {"engine.transfer_retry_packets", &CoreStats::transfer_retries},
+    {"engine.nf_drops", &CoreStats::nf_drops},
+    {"engine.tx_packets", &CoreStats::tx_packets},
+    {"engine.busy_cycles", &CoreStats::busy_cycles},
+};
+
+/// core_stats(c) is shard c of the snapshot and total_stats() its total,
+/// field by field.
+void expect_counts_are_registry_cells(
+    const MiddleboxSkeleton& mbox, const telemetry::TelemetrySnapshot& snap) {
+  const CoreStats total = mbox.total_stats();
+  for (const CountField& f : kCountFields) {
+    const auto* cell = snap.find(f.name);
+    ASSERT_NE(cell, nullptr) << f.name;
+    EXPECT_EQ(cell->total, (total.*f.field).load()) << f.name;
+    for (u32 c = 0; c < mbox.config().num_cores; ++c) {
+      EXPECT_EQ(cell->per_shard[c],
+                (mbox.core_stats(static_cast<CoreId>(c)).*f.field).load())
+          << f.name << " core " << c;
+    }
+  }
+}
+
+/// A firewall that rejects connections to port 81: SYNs to it drop on
+/// their designated core (often after a redirect), and its data packets
+/// drop for lack of state.
+nf::Acl deny_port_81() {
+  nf::Acl acl(/*default_allow=*/true);
+  acl.add_rule({.dst_port_lo = 81, .dst_port_hi = 81, .allow = false});
+  return acl;
+}
+
+std::vector<net::FiveTuple> parity_flows(u64 seed) {
+  auto flows = nic::random_tcp_flows(32, seed);
+  for (std::size_t i = 0; i < flows.size(); i += 2) flows[i].dst_port = 81;
+  return flows;
+}
+
+std::vector<net::Packet*> parity_burst(net::PacketPool& pool,
+                                       const std::vector<net::FiveTuple>& flows,
+                                       u8 flags, u32 per_flow, Rng& rng) {
+  std::vector<net::Packet*> out;
+  for (u32 k = 0; k < per_flow; ++k) {
+    for (const auto& f : flows) {
+      net::Packet* pkt = tuple_packet(pool, f, flags, rng.next());
+      if (pkt != nullptr) out.push_back(pkt);
+    }
+  }
+  return out;
+}
+
+// Redirects (spray), parks (tiny mesh rings plus a reject schedule), NF
+// drops (the port-81 firewall) and rx-boundary sheds of both classes (a
+// tiny rx ring filled before the workers start), with telemetry on and off.
+// A flow's data is only sent once its SYN has been processed: the firewall
+// writes a new entry's bytes with plain stores that other cores read.
+TEST(CountStore, ThreadedCoreStatsAreRegistryCells) {
+  for (const bool telemetry_on : {true, false}) {
+    SCOPED_TRACE(telemetry_on ? "telemetry on" : "telemetry off");
+    net::PacketPool pool(4096, 256);
+    nf::FirewallNf fw(deny_port_81());
+    SprayerConfig cfg;
+    cfg.num_cores = 4;
+    cfg.mode = DispatchMode::kSpray;
+    cfg.telemetry = telemetry_on;
+    cfg.rx_ring_capacity = 64;
+    cfg.foreign_ring_capacity = 8;
+    cfg.transfer_fault = {.reject_period = 3, .accept_cap = 0};
+    ThreadedMiddlebox mbox(cfg, fw, [](std::span<net::Packet* const> pkts) {
+      net::free_packets(pkts);
+    });
+    const auto flows = parity_flows(53);
+    Rng rng(5);
+    // Before start: data of stateless flows fills every rx ring to its
+    // watermark (the rest is shed as regular), then SYNs of other flows
+    // overrun the headroom (shed as conn).
+    auto acks = parity_burst(pool, parity_flows(61), net::TcpFlags::kAck, 8,
+                             rng);
+    (void)mbox.inject_bulk(acks);
+    auto syns = parity_burst(pool, parity_flows(67), net::TcpFlags::kSyn, 4,
+                             rng);
+    (void)mbox.inject_bulk(syns);
+    mbox.start();
+    mbox.wait_idle();
+    for (const u8 flags : {u8{net::TcpFlags::kSyn}, u8{net::TcpFlags::kAck},
+                           u8{net::TcpFlags::kAck}}) {
+      for (net::Packet* pkt : parity_burst(pool, flows, flags, 1, rng)) {
+        (void)mbox.inject(pkt);
+      }
+      mbox.wait_idle();
+    }
+
+    const auto snap = mbox.telemetry_snapshot();
+    const CoreStats total = mbox.total_stats();
+    EXPECT_GT(total.conn_foreign_in, 0u);
+    EXPECT_GT(total.transfer_retries, 0u);
+    EXPECT_GT(total.nf_drops, 0u);
+    EXPECT_GT(mbox.shed_regular(), 0u);
+    EXPECT_GT(mbox.shed_conn(), 0u);
+    expect_counts_are_registry_cells(mbox, snap);
+    const u32 driver = mbox.driver_shard();
+    ASSERT_NE(snap.find("driver.shed_regular"), nullptr);
+    ASSERT_NE(snap.find("driver.shed_conn"), nullptr);
+    EXPECT_EQ(snap.find("driver.shed_regular")->per_shard[driver],
+              mbox.shed_regular());
+    EXPECT_EQ(snap.value("driver.shed_regular"), mbox.shed_regular());
+    EXPECT_EQ(snap.value("driver.shed_conn"), mbox.shed_conn());
+    EXPECT_EQ(mbox.rx_ring_drops(), mbox.shed_regular() + mbox.shed_conn());
+    EXPECT_EQ(snap.find("driver.rx_ring_drops"), nullptr);
+    mbox.stop();
+    EXPECT_EQ(pool.available(), pool.size());
+  }
+}
+
+TEST(CountStore, SimulatorCoreStatsAreRegistryCellsAndResetZeroesThem) {
+  struct FreeSink final : sim::IPacketSink {
+    void receive(net::Packet* pkt) override { pkt->pool()->free(pkt); }
+  };
+  for (const bool telemetry_on : {true, false}) {
+    SCOPED_TRACE(telemetry_on ? "telemetry on" : "telemetry off");
+    net::PacketPool pool(4096, 256);
+    nf::FirewallNf fw(deny_port_81());
+    SprayerConfig cfg;
+    cfg.num_cores = 4;
+    cfg.mode = DispatchMode::kSpray;
+    cfg.telemetry = telemetry_on;
+    cfg.foreign_ring_capacity = 2;  // a SYN burst parks on the mesh
+    sim::Simulator sim;
+    SimMiddlebox mbox(sim, cfg, fw);
+    FreeSink sink;
+    sim::Link out0(sim, {}, sink, "port0");
+    sim::Link out1(sim, {}, sink, "port1");
+    mbox.attach_tx_link(0, out0);
+    mbox.attach_tx_link(1, out1);
+
+    const auto flows = parity_flows(53);
+    Rng rng(9);
+    Time t = 0;
+    for (const u8 flags : {u8{net::TcpFlags::kSyn}, u8{net::TcpFlags::kAck}}) {
+      for (net::Packet* pkt : parity_burst(pool, flows, flags, 4, rng)) {
+        mbox.ingress().receive(pkt);
+      }
+      t += from_seconds(0.001);
+      sim.run_until(t);
+    }
+
+    telemetry::SnapshotCollector collector(mbox.metrics());
+    const CoreStats total = mbox.total_stats();
+    EXPECT_GT(total.conn_foreign_in, 0u);
+    EXPECT_GT(total.transfer_retries, 0u);
+    EXPECT_GT(total.nf_drops, 0u);
+    expect_counts_are_registry_cells(mbox, collector.collect());
+
+    mbox.reset_stats();
+    const auto zero = collector.collect();
+    for (const CountField& f : kCountFields) {
+      EXPECT_EQ((mbox.total_stats().*f.field).load(), 0u) << f.name;
+      EXPECT_EQ(zero.value(f.name), 0u) << f.name;
+    }
+    expect_counts_are_registry_cells(mbox, zero);
+  }
+}
+
+// With telemetry off the registry still holds exactly the always-on counts
+// (the engine's CoreStats cells and the driver's shed cells), and they
+// equal the accessors; every telemetry-only metric is absent.
+TEST(ThreadedTelemetry, DisabledTelemetryKeepsOnlyTheCounts) {
   net::PacketPool pool(1024, 256);
   nf::SyntheticNf nf(0);
   ThreadedMiddlebox::TxBatchHandler sink =
@@ -439,14 +638,31 @@ TEST(ThreadedTelemetry, DisabledTelemetryReportsNothing) {
   const net::FiveTuple flow{net::Ipv4Addr{10, 0, 0, 3},
                             net::Ipv4Addr{10, 0, 0, 4}, 999, 80,
                             net::kProtoTcp};
-  mbox.inject(tuple_packet(pool, flow, net::TcpFlags::kSyn, 0));
+  u64 injected = 0;
+  if (mbox.inject(tuple_packet(pool, flow, net::TcpFlags::kSyn, 0))) {
+    ++injected;
+  }
   for (int i = 0; i < 100; ++i) {
     net::Packet* pkt = tuple_packet(pool, flow, net::TcpFlags::kAck, i);
-    if (pkt != nullptr) mbox.inject(pkt);
+    if (pkt != nullptr && mbox.inject(pkt)) ++injected;
   }
   mbox.wait_idle();
   const auto snap = mbox.telemetry_snapshot();
-  EXPECT_EQ(snap.value("worker.packets"), 0u);  // registry never finalized
+
+  std::vector<std::string> names;
+  for (const auto& sc : snap.scalars) names.push_back(sc.name);
+  std::vector<std::string> expected = {"driver.shed_regular",
+                                       "driver.shed_conn"};
+  for (const CountField& f : kCountFields) expected.emplace_back(f.name);
+  std::sort(names.begin(), names.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(names, expected);
+  EXPECT_TRUE(snap.histograms.empty());
+  EXPECT_EQ(snap.find("worker.packets"), nullptr);
+  EXPECT_EQ(snap.find("worker.batches"), nullptr);
+  EXPECT_EQ(snap.find_histogram("worker.batch_size"), nullptr);
+  expect_counts_are_registry_cells(mbox, snap);
+  EXPECT_EQ(snap.value("engine.rx_packets"), injected);
   EXPECT_FALSE(mbox.reorder_enabled());
   mbox.stop();
   EXPECT_EQ(pool.available(), pool.size());

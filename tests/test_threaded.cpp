@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "core/threaded.hpp"
 #include "net/packet_builder.hpp"
+#include "nf/firewall.hpp"
 #include "nf/nat.hpp"
 #include "nf/synthetic.hpp"
 #include "nic/pktgen.hpp"
@@ -256,11 +257,53 @@ TEST(ThreadedMiddlebox, ScalarInjectFeedsQueueDelayHistogram) {
   EXPECT_EQ(pool.available(), pool.size());
 }
 
+TEST(ThreadedMiddlebox, ForeignPathCountsEveryPolledDescriptor) {
+  // A firewall that rejects SYNs to port 81 drops redirected connection
+  // packets on their designated core. The worker counts must still see
+  // every descriptor it polled off the mesh, not the survivors the chain
+  // compacted the batch to.
+  net::PacketPool pool(4096, 256);
+  nf::Acl acl(/*default_allow=*/true);
+  acl.add_rule({.dst_port_lo = 81, .dst_port_hi = 81, .allow = false});
+  nf::FirewallNf fw(std::move(acl));
+  Collector out;
+  SprayerConfig cfg;
+  cfg.num_cores = kCores;
+  cfg.mode = DispatchMode::kSpray;
+  cfg.telemetry = true;
+  ThreadedMiddlebox mbox(cfg, fw, out.handler());
+  mbox.start();
+
+  auto flows = nic::random_tcp_flows(64, 31);
+  for (std::size_t i = 0; i < flows.size(); i += 2) flows[i].dst_port = 81;
+  u64 injected = 0;
+  for (const auto& f : flows) {
+    if (mbox.inject(make_packet(pool, f, net::TcpFlags::kSyn, 0))) {
+      ++injected;
+    }
+  }
+  mbox.wait_idle();
+  const auto snap = mbox.telemetry_snapshot();
+  const CoreStats total = mbox.total_stats();
+  mbox.stop();
+
+  EXPECT_EQ(total.rx_packets, injected);
+  EXPECT_EQ(fw.counters().rejected_by_acl, flows.size() / 2);
+  EXPECT_EQ(total.nf_drops, flows.size() / 2);
+  EXPECT_GT(total.conn_foreign_in, 0u);
+  EXPECT_EQ(snap.value("worker.foreign_packets"), total.conn_foreign_in);
+  // Descriptors polled: every rx packet once, every redirected one again.
+  EXPECT_EQ(snap.value("worker.packets"),
+            total.rx_packets + total.conn_foreign_in);
+  EXPECT_EQ(out.packets.load(), injected - flows.size() / 2);
+  EXPECT_EQ(pool.available(), pool.size());
+}
+
 TEST(ThreadedMiddlebox, StatsReadableWhileWorkersRun) {
-  // CoreStats fields are single-writer relaxed cells, so total_stats() and
-  // core_stats() may be polled from any thread while workers run — this
-  // test is the TSan witness for that contract (it raced on plain u64
-  // before the fields became RelaxedU64).
+  // The engine counts are single-writer relaxed cells in the metrics
+  // registry, so total_stats() and core_stats() may read them from any
+  // thread while workers run — this test is the TSan witness for that
+  // contract.
   net::PacketPool pool(8192, 256);
   nf::SyntheticNf nf(0);
   Collector out;
